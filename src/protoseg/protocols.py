@@ -27,6 +27,7 @@ from .prototypes import (
     classify,
     form_novel_prototype,
     make_classifier,
+    pixel_weighted_mean,
     register_novel_classes,
 )
 from .scenes import DatasetManifest, load_pair, sample_support_set
@@ -146,21 +147,10 @@ def _binary_truth(mask: np.ndarray, fg_class: int) -> np.ndarray:
     return out
 
 
-def _background_prototype(feats, masks, fg_class: int):
+def _background_prototype(feats, masks, fg_class: int) -> np.ndarray:
     """Pixel-weighted mean of everything that is neither foreground nor ignore."""
-    total = None
-    count = 0
-    for feat, mask in zip(feats, masks):
-        m = (mask != fg_class) & (mask != IGNORE_LABEL)
-        n = int(np.count_nonzero(m))
-        if n == 0:
-            continue
-        part = (feat.data * m[:, :, None]).reshape(-1, feat.shape[-1]).sum(axis=0)
-        total = part if total is None else total + part
-        count += n
-    if count == 0:
-        return np.zeros(feats[0].shape[-1])
-    return total / count
+    keep = [(mask != fg_class) & (mask != IGNORE_LABEL) for mask in masks]
+    return pixel_weighted_mean(feats, keep)[0].data
 
 
 def run_fs_protocol(

@@ -165,6 +165,27 @@ def form_novel_prototype(shots: list[tuple[Tensor, np.ndarray]]) -> Tensor:
     return T.div_scalar(acc, len(pooled))
 
 
+def pixel_weighted_mean(features: list[Tensor], masks: list[np.ndarray]) -> tuple[Tensor, int]:
+    """Mean feature vector over the set pixels of every mask, with all pixels
+    pooled before dividing, and the pixel count.
+
+    Samples with an empty mask are skipped; when no pixel is set at all the
+    result is the zero vector with count 0.
+    """
+    total = None
+    count = 0
+    for feat, m in zip(features, masks):
+        n = int(np.count_nonzero(m))
+        if n == 0:
+            continue
+        part = T.masked_sum(feat, m)
+        total = part if total is None else T.add(total, part)
+        count += n
+    if count == 0:
+        return Tensor(np.zeros(features[0].shape[-1] if features else 0)), 0
+    return T.div_scalar(total, count), count
+
+
 def accumulate_context_prototype(
     supports: SupportSet, features: list[Tensor], base_class: int
 ) -> tuple[Tensor, int]:
@@ -176,20 +197,7 @@ def accumulate_context_prototype(
     """
     if len(features) != len(supports.samples):
         raise ShapeError("features must align 1:1 with support samples")
-    c = features[0].shape[-1] if features else 0
-    total = None
-    count = 0
-    for sample, feat in zip(supports.samples, features):
-        m = sample.mask == base_class
-        n = int(np.count_nonzero(m))
-        if n == 0:
-            continue
-        part = T.masked_sum(feat, m)
-        total = part if total is None else T.add(total, part)
-        count += n
-    if count == 0:
-        return Tensor(np.zeros(c)), 0
-    return T.div_scalar(total, count), count
+    return pixel_weighted_mean(features, [s.mask == base_class for s in supports.samples])
 
 
 # ---------------------------------------------------------------------------

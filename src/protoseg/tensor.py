@@ -5,10 +5,12 @@ Only the operations the rest of the package needs are implemented, all on
 input requires gradients; ``backward`` replays the records in exact reverse
 order and leaves dLoss/dLeaf on every leaf tensor.
 
-Reductions that feed the prototype math (``masked_sum``) accumulate in
-strict row-major pixel order so they match a per-pixel loop bitwise; the
-remaining ops use ordinary numpy kernels, which are deterministic but make
-no ordering promise beyond that.
+Reductions that feed the prototype math (``masked_sum``) gather the set
+pixels and accumulate them in row-major pixel order, so they match a
+per-pixel loop bitwise; the remaining ops use ordinary numpy kernels, which
+are deterministic but make no ordering promise beyond that. Pullbacks only
+compute the gradients the loss can reach: conv2d skips ``dx`` for an input
+that needs no gradient, such as the image.
 """
 
 from __future__ import annotations
@@ -60,10 +62,6 @@ class Tensor:
         if self.data.size != 1:
             raise ShapeError(f"item() on tensor of shape {self.shape}")
         return float(self.data.reshape(()))
-
-    def copy(self, requires_grad: bool | None = None) -> "Tensor":
-        rg = self.requires_grad if requires_grad is None else requires_grad
-        return Tensor(self.data.copy(), requires_grad=rg)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -316,11 +314,21 @@ def take_row(a: Tensor, index: int) -> Tensor:
     return _record("take_row", (a,), out, back)
 
 
+def _im2col(a: np.ndarray, k: int) -> np.ndarray:
+    """Zero-padded k x k patches of an (h, w, c) array as an (h*w, k*k*c) matrix."""
+    h, w, c = a.shape
+    pad = k // 2
+    ap = np.pad(a, ((pad, pad), (pad, pad), (0, 0)))
+    return sliding_window_view(ap, (k, k, c)).reshape(h * w, k * k * c)
+
+
 def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     """Stride-1, zero-padded 2-d convolution: x (h, w, cin) -> (h, w, cout).
 
     Kernel is (k, k, cin, cout) with odd k. Implemented as an im2col matrix
-    product; a direct-loop oracle in the test suite pins the arithmetic.
+    product; ``dx`` is the transposed convolution, the same im2col of the
+    output gradient times the spatially flipped kernel with cin and cout
+    swapped. Direct-loop oracles in the test suite pin the arithmetic.
     """
     if x.data.ndim != 3 or kernel.data.ndim != 4 or bias.data.ndim != 1:
         raise ShapeError("conv2d expects x (h,w,cin), kernel (k,k,cin,cout), bias (cout,)")
@@ -332,24 +340,17 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
         raise ShapeError(f"conv2d: input has {cin} channels, kernel expects {kcin}")
     if bias.shape != (cout,):
         raise ShapeError(f"conv2d: bias {bias.shape} vs cout {cout}")
-    pad = kh // 2
-    xp = np.pad(x.data, ((pad, pad), (pad, pad), (0, 0)))
-    windows = sliding_window_view(xp, (kh, kw, cin))  # (h, w, 1, kh, kw, cin)
-    cols = windows.reshape(h * w, kh * kw * cin)
-    k2d = kernel.data.reshape(kh * kw * cin, cout)
-    out = Tensor((cols @ k2d + bias.data).reshape(h, w, cout))
+    cols = _im2col(x.data, kh)
+    out = Tensor((cols @ kernel.data.reshape(kh * kw * cin, cout) + bias.data).reshape(h, w, cout))
+    need_dx = x.requires_grad
 
     def back(g):
         g2d = g.reshape(h * w, cout)
-        dcols = (g2d @ k2d.T).reshape(h, w, kh, kw, cin)
-        dxp = np.zeros_like(xp)
-        for i in range(kh):
-            for j in range(kw):
-                dxp[i : i + h, j : j + w, :] += dcols[:, :, i, j, :]
-        dx = dxp[pad : pad + h, pad : pad + w, :]
-        dk = (cols.T @ g2d).reshape(kernel.shape)
-        db = g2d.sum(axis=0)
-        return [(x, dx), (kernel, dk), (bias, db)]
+        grads = [(kernel, (cols.T @ g2d).reshape(kernel.shape)), (bias, g2d.sum(axis=0))]
+        if need_dx:
+            flipped = kernel.data[::-1, ::-1].transpose(0, 1, 3, 2).reshape(kh * kw * cout, cin)
+            grads.append((x, (_im2col(g, kh) @ flipped).reshape(h, w, cin)))
+        return grads
 
     return _record("conv2d", (x, kernel, bias), out, back)
 
@@ -357,8 +358,10 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
 def masked_sum(features: Tensor, mask: np.ndarray) -> Tensor:
     """Sum of feature vectors at set mask pixels, in row-major pixel order.
 
-    The accumulation order matches a per-pixel python loop bitwise (the
-    pooling oracles assert exact equality), hence the sequential cumsum.
+    The set pixels are gathered and reduced in row order, so the result
+    matches a per-pixel python loop bitwise (the pooling oracles assert exact
+    equality). The reduction is a cumsum because ``sum(axis=0)`` switches to
+    pairwise summation when there is a single channel.
     """
     if features.data.ndim != 3:
         raise ShapeError("masked_sum expects features (h, w, c)")
@@ -366,12 +369,14 @@ def masked_sum(features: Tensor, mask: np.ndarray) -> Tensor:
     m = np.asarray(mask)
     if m.shape != (h, w):
         raise ShapeError(f"masked_sum: mask {m.shape} vs features {features.shape}")
-    m3 = m.astype(np.float64).reshape(h, w, 1)
-    flat = (features.data * m3).reshape(h * w, c)
-    out = Tensor(np.cumsum(flat, axis=0)[-1] if flat.size else np.zeros(c))
+    picked = m.reshape(-1).astype(bool)
+    rows = features.data.reshape(h * w, c)[picked]
+    out = Tensor(np.cumsum(rows, axis=0)[-1] if len(rows) else np.zeros(c))
 
     def back(g):
-        return [(features, m3 * g)]
+        ga = np.zeros((h * w, c))
+        ga[picked] = g
+        return [(features, ga.reshape(h, w, c))]
 
     return _record("masked_sum", (features,), out, back)
 
@@ -389,12 +394,6 @@ def l2_normalize(a: Tensor, eps: float = 1e-8) -> Tensor:
         return [(a, da)]
 
     return _record("l2_normalize", (a,), out, back)
-
-
-def _softmax_rows(z: np.ndarray) -> np.ndarray:
-    zmax = z.max(axis=1, keepdims=True)
-    ez = np.exp(z - zmax)
-    return ez / ez.sum(axis=1, keepdims=True)
 
 
 def softmax_cross_entropy(
@@ -424,25 +423,23 @@ def softmax_cross_entropy(
     yv = y[valid].astype(np.int64)
     if yv.min() < 0 or yv.max() >= n_classes:
         raise ShapeError("label id outside the logit class range")
-    zmax = zv.max(axis=1)
-    lse = np.log(np.exp(zv - zmax[:, None]).sum(axis=1)) + zmax
+    zmax = zv.max(axis=1, keepdims=True)
+    ez = np.exp(zv - zmax)
+    ez_sum = ez.sum(axis=1, keepdims=True)
+    lse = (np.log(ez_sum) + zmax)[:, 0]
     nll = lse - zv[np.arange(count), yv]
     total = nll.sum()
     out = Tensor(total / count if reduction == "mean" else total)
 
     def back(g):
         gs = float(g) / count if reduction == "mean" else float(g)
-        probs = _softmax_rows(zv)
+        probs = ez / ez_sum
         probs[np.arange(count), yv] -= 1.0
         dz = np.zeros_like(z)
         dz[valid] = probs * gs
         return [(logits, dz.reshape(logits.shape))]
 
     return _record("softmax_cross_entropy", (logits,), out, back)
-
-
-def valid_pixel_count(labels: np.ndarray, ignore_label: int = IGNORE_LABEL) -> int:
-    return int((np.asarray(labels) != ignore_label).sum())
 
 
 _OPS: dict[str, Callable] = {

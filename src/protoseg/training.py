@@ -27,6 +27,7 @@ from .prototypes import (
     gamma_forward,
     init_gamma_net,
     make_classifier,
+    pixel_weighted_mean,
 )
 from .scenes import DatasetManifest, load_pair
 from .tensor import IGNORE_LABEL, Tape, Tensor, backward
@@ -52,6 +53,8 @@ class TrainConfig:
     clip_grad_norm: float = 1.0  # 0 disables clipping
 
     def __post_init__(self):
+        if not isinstance(self.batch_size, int) or isinstance(self.batch_size, bool):
+            raise ConfigError(f"batch size must be an integer, got {self.batch_size!r}")
         if self.batch_size < 4:
             raise ConfigError(f"batch size must be >= 4, got {self.batch_size}")
         if self.lr <= 0:
@@ -62,6 +65,11 @@ class TrainConfig:
             raise ConfigError("steps must be non-negative")
         if self.weight_decay < 0:
             raise ConfigError("weight decay must be non-negative")
+        for name in ("momentum", "poly_power", "clip_grad_norm"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be non-negative")
+        if not 0.0 <= self.amp_gamma <= 1.0:
+            raise ConfigError(f"amp_gamma must lie in [0, 1], got {self.amp_gamma}")
 
 
 @dataclass(frozen=True)
@@ -160,18 +168,9 @@ def pooled_class_means(
     pixels of all samples pooled before dividing."""
     out: dict[int, Tensor] = {}
     for cid in class_ids:
-        total = None
-        count = 0
-        for feat, mask in zip(feats, masks):
-            m = mask == cid
-            n = int(np.count_nonzero(m))
-            if n == 0:
-                continue
-            part = T.masked_sum(feat, m)
-            total = part if total is None else T.add(total, part)
-            count += n
+        mean, count = pixel_weighted_mean(feats, [mask == cid for mask in masks])
         if count:
-            out[cid] = T.div_scalar(total, count)
+            out[cid] = mean
     return out
 
 

@@ -101,6 +101,15 @@ def test_unknown_config_key_exits_2(tmp_path):
     assert main(["synth", "--config", str(bad), "--out", str(tmp_path / "x")]) == 2
 
 
+def test_bad_train_value_exits_2_before_training(workspace, tmp_path):
+    cfg = tmp_path / "t.json"
+    cfg.write_text(json.dumps({"train": {**TRAIN_CFG["train"], "amp_gamma": 1.5}}))
+    out = tmp_path / "never.ckpt"
+    args = ["train", "--config", str(cfg), "--data", workspace["manifest"], "--out", str(out)]
+    assert main(args) == 2
+    assert not out.exists()
+
+
 def test_train_smoke_single_step_is_loadable(workspace, tmp_path):
     out = str(tmp_path / "one.ckpt")
     cfg = tmp_path / "t.json"

@@ -238,6 +238,28 @@ def test_fs_self_episode_iou_on_separable_world(separable_world):
     assert float(np.mean(ious)) >= 0.9, f"mean self-episode IoU {np.mean(ious):.3f}"
 
 
+@pytest.mark.parametrize("c", [1, 6])
+def test_fs_background_prototype_is_bitwise_the_taped_pooled_mean(c):
+    import protoseg.tensor as T
+    from protoseg.protocols import _background_prototype
+    from protoseg.tensor import IGNORE_LABEL, Tape, Tensor
+
+    rng = np.random.default_rng(29)
+    for _ in range(20):
+        shots = int(rng.integers(1, 5))
+        feats = [Tensor(rng.uniform(-2, 2, (7, 9, c)), requires_grad=True) for _ in range(shots)]
+        labels = [0, 1, 2, IGNORE_LABEL]
+        masks = [rng.choice(labels, (7, 9), p=[0.5, 0.3, 0.1, 0.1]) for _ in range(shots)]
+        keep = [(m != 1) & (m != IGNORE_LABEL) for m in masks]
+        with Tape() as tape:
+            total = T.masked_sum(feats[0], keep[0])
+            for f, m in zip(feats[1:], keep[1:]):
+                total = T.add(total, T.masked_sum(f, m))
+            taped = T.div_scalar(total, int(sum(np.count_nonzero(m) for m in keep)))
+        assert len(tape.records) == 2 * shots
+        assert np.array_equal(_background_prototype(feats, masks, 1), taped.data)
+
+
 def test_fs_protocol_scores_high_on_separable_world(separable_world):
     manifest, model = separable_world
     result = run_fs_protocol(model, manifest, k=1, episodes=16, seed=3)

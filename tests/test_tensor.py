@@ -76,6 +76,63 @@ def test_conv2d_matches_loop_oracle():
     np.testing.assert_allclose(out.data, conv2d_loop_oracle(x, k, b), rtol=1e-12, atol=1e-12)
 
 
+def conv2d_backward_loop_oracle(x, k, g):
+    """Direct-loop pullback of conv2d_loop_oracle: (dx, dk, db)."""
+    h, w, cin = x.shape
+    kk, _, _, cout = k.shape
+    pad = kk // 2
+    dx, dk, db = np.zeros_like(x), np.zeros_like(k), np.zeros(cout)
+    for oy in range(h):
+        for ox in range(w):
+            for oc in range(cout):
+                go = g[oy, ox, oc]
+                db[oc] += go
+                for dy in range(kk):
+                    for dxx in range(kk):
+                        iy, ix = oy + dy - pad, ox + dxx - pad
+                        if 0 <= iy < h and 0 <= ix < w:
+                            dx[iy, ix, :] += go * k[dy, dxx, :, oc]
+                            dk[dy, dxx, :, oc] += go * x[iy, ix, :]
+    return dx, dk, db
+
+
+def _conv2d_pullback(x, k, b, g, x_requires_grad=True):
+    xt = Tensor(x, requires_grad=x_requires_grad)
+    kt, bt = Tensor(k, requires_grad=True), Tensor(b, requires_grad=True)
+    with Tape() as tape:
+        T.conv2d(xt, kt, bt)
+    (record,) = tape.records
+    return {id(t): grad for t, grad in record.backward(g)}, xt, kt, bt
+
+
+@pytest.mark.parametrize("cin", [3, 16])
+@pytest.mark.parametrize("ksize", [3, 5])
+def test_conv2d_backward_matches_loop_oracle(cin, ksize):
+    rng = np.random.default_rng(100 * cin + ksize)
+    x = rng.uniform(-2, 2, (5, 6, cin))
+    k = rng.uniform(-2, 2, (ksize, ksize, cin, 4))
+    b = rng.uniform(-2, 2, 4)
+    g = rng.uniform(-1, 1, (5, 6, 4))
+    grads, xt, kt, bt = _conv2d_pullback(x, k, b, g)
+    dx, dk, db = conv2d_backward_loop_oracle(x, k, g)
+    np.testing.assert_allclose(grads[id(xt)], dx, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(grads[id(kt)], dk, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(grads[id(bt)], db, rtol=1e-12, atol=1e-12)
+
+
+def test_conv2d_skips_dx_for_input_without_grad():
+    rng = np.random.default_rng(21)
+    x = rng.uniform(-2, 2, (6, 5, 3))
+    k = rng.uniform(-2, 2, (3, 3, 3, 4))
+    b = rng.uniform(-2, 2, 4)
+    g = rng.uniform(-1, 1, (6, 5, 4))
+    with_dx, xt, kt, bt = _conv2d_pullback(x, k, b, g)
+    without_dx, xc, kc, bc = _conv2d_pullback(x, k, b, g, x_requires_grad=False)
+    assert id(xc) not in without_dx and len(without_dx) == 2
+    assert np.array_equal(without_dx[id(kc)], with_dx[id(kt)])
+    assert np.array_equal(without_dx[id(bc)], with_dx[id(bt)])
+
+
 def test_conv2d_shape_errors():
     x = Tensor(np.zeros((4, 4, 2)))
     with pytest.raises(ShapeError):
@@ -100,6 +157,26 @@ def test_masked_sum_matches_pixel_loop_bitwise():
 def test_masked_sum_empty_mask_is_zero_vector():
     out = T.masked_sum(Tensor(np.ones((3, 3, 4))), np.zeros((3, 3)))
     np.testing.assert_array_equal(out.data, np.zeros(4))
+
+
+@pytest.mark.parametrize("pattern", ["empty", "single", "all"])
+@pytest.mark.parametrize("c", [1, 5])
+def test_masked_sum_edge_masks_match_pixel_loop_bitwise(pattern, c):
+    # c == 1 pins the row-order reduction: a plain sum(axis=0) over one
+    # channel is pairwise and fails the all-set case
+    feats = np.random.default_rng(13).uniform(-2, 2, (8, 6, c))
+    mask = {
+        "empty": np.zeros((8, 6), dtype=bool),
+        "single": np.arange(48).reshape(8, 6) == 29,
+        "all": np.ones((8, 6), dtype=bool),
+    }[pattern]
+    out = T.masked_sum(Tensor(feats), mask)
+    acc = np.zeros(c)
+    for y in range(8):
+        for x in range(6):
+            if mask[y, x]:
+                acc = acc + feats[y, x]
+    assert np.array_equal(out.data, acc)
 
 
 def test_l2_normalize_unit_norm_property():
@@ -130,6 +207,29 @@ def test_softmax_cross_entropy_ignores_labelled_pixels():
     assert only_first.item() == both.item()
     with pytest.raises(DegenerateBatchError):
         T.softmax_cross_entropy(logits, np.array([255, 255]))
+
+
+@pytest.mark.parametrize("ignored", [False, True])
+def test_softmax_cross_entropy_backward_matches_fresh_softmax_bitwise(ignored):
+    rng = np.random.default_rng(17)
+    z = rng.uniform(-4, 4, (5, 4, 3))
+    labels = rng.integers(0, 3, (5, 4))
+    if ignored:
+        labels[1, :3] = T.IGNORE_LABEL
+    logits = Tensor(z, requires_grad=True)
+    with Tape() as tape:
+        T.softmax_cross_entropy(logits, labels)
+    ((_, dz),) = tape.records[0].backward(np.array(0.7))
+
+    flat, y = z.reshape(-1, 3), labels.reshape(-1)
+    valid = y != T.IGNORE_LABEL
+    zv = flat[valid]
+    ez = np.exp(zv - zv.max(axis=1, keepdims=True))
+    probs = ez / ez.sum(axis=1, keepdims=True)
+    probs[np.arange(len(zv)), y[valid]] -= 1.0
+    expected = np.zeros_like(flat)
+    expected[valid] = probs * (0.7 / int(valid.sum()))
+    assert np.array_equal(dz, expected.reshape(z.shape))
 
 
 def test_op_forward_dispatch_and_unknown_kind():

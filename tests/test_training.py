@@ -413,6 +413,22 @@ def test_make_variant_table():
         make_variant("fancy")
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("amp_gamma", -0.1),
+        ("amp_gamma", 1.5),
+        ("momentum", -0.9),
+        ("poly_power", -1.0),
+        ("clip_grad_norm", -1.0),
+        ("batch_size", 8.0),
+    ],
+)
+def test_train_config_rejects_bad_values_at_construction(field, value):
+    with pytest.raises(ConfigError, match=field.replace("_", "[_ ]")):
+        TrainConfig(**{field: value})
+
+
 def test_capl_tr_differs_from_capl_only_in_context_branch():
     a, b = make_variant("capl_tr"), make_variant("capl")
     assert a.train_fake_novel == b.train_fake_novel

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import io
 import json
-import os
+import math
 import re
 import struct
 import zlib
@@ -28,8 +28,9 @@ import zlib
 import numpy as np
 
 from .backbone import BackboneParams
-from .errors import FormatError, IoError
+from .errors import FormatError, IoError, ProtosegError
 from .model import EvalModel
+from .netpbm import atomic_write
 from .prototypes import GammaNet, ROLE_BASE, ROLE_NOVEL, make_classifier
 from .tensor import Tensor
 
@@ -92,14 +93,7 @@ def save_checkpoint(
         buf.write(payload)
 
     body = buf.getvalue()
-    blob = body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
-    tmp = f"{path}.tmp.{os.getpid()}"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(blob)
-        os.replace(tmp, path)
-    except OSError as exc:
-        raise IoError(f"cannot write checkpoint {path}: {exc}") from exc
+    atomic_write(path, body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
 
 
 class _Reader:
@@ -117,6 +111,12 @@ class _Reader:
 
     def unpack(self, fmt: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+
+    def text(self, n: int) -> str:
+        try:
+            return self.take(n).decode()
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{self.path}: text field is not UTF-8") from exc
 
 
 def _read_all(path: str) -> dict:
@@ -149,30 +149,35 @@ def _read_all(path: str) -> dict:
             raise FormatError(f"{path}: unknown role code {role_code}")
         class_ids.append(cid)
         roles[cid] = _CODE_ROLE[role_code]
-        names[cid] = r.take(name_len).decode()
+        names[cid] = r.text(name_len)
 
     (meta_len,) = r.unpack("<I")
     try:
-        meta = json.loads(r.take(meta_len).decode())
+        meta = json.loads(r.text(meta_len))
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: bad meta block: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise FormatError(f"{path}: meta block must be a JSON object")
 
     (n_tensors,) = r.unpack("<I")
     tensors: dict[str, np.ndarray] = {}
     for _ in range(n_tensors):
         (name_len,) = r.unpack("<H")
-        name = r.take(name_len).decode()
+        name = r.text(name_len)
         dtype_code, ndim = r.unpack("<BB")
         if dtype_code not in (0, 1):
             raise FormatError(f"{path}: unknown dtype code {dtype_code}")
         dims = r.unpack(f"<{ndim}I") if ndim else ()
-        count = int(np.prod(dims)) if dims else 1
+        count = math.prod(dims)
         itemsize = 8 if dtype_code == 0 else 4
         raw = r.take(count * itemsize)
         arr = np.frombuffer(raw, dtype="<f8" if dtype_code == 0 else "<f4")
         if name in tensors:
             raise FormatError(f"{path}: duplicate tensor {name}")
-        tensors[name] = arr.astype(np.float64).reshape(dims)
+        try:
+            tensors[name] = arr.astype(np.float64).reshape(dims)
+        except ValueError as exc:
+            raise FormatError(f"{path}: bad shape {dims} for tensor {name}: {exc}") from exc
 
     return {
         "path": path,
@@ -186,12 +191,14 @@ def _read_all(path: str) -> dict:
     }
 
 
-def load_checkpoint(path: str) -> EvalModel:
-    doc = _read_all(path)
-    tensors = doc["tensors"]
-    embed_dim, alpha = doc["embed_dim"], doc["alpha"]
-    class_ids, roles, names, meta = doc["class_ids"], doc["roles"], doc["names"], doc["meta"]
-    n_classes = len(class_ids)
+def _params_from(doc: dict, trainable: bool) -> tuple[BackboneParams, Tensor, GammaNet | None]:
+    """The backbone, classifier weights and gate stored in a parsed checkpoint."""
+    path, tensors = doc["path"], doc["tensors"]
+
+    def tensor(name: str) -> Tensor:
+        if name not in tensors:
+            raise FormatError(f"{path}: missing tensor {name!r}")
+        return Tensor(tensors[name], requires_grad=trainable)
 
     layer_ids = sorted(
         {
@@ -202,34 +209,24 @@ def load_checkpoint(path: str) -> EvalModel:
     )
     if not layer_ids or layer_ids != list(range(len(layer_ids))):
         raise FormatError(f"{path}: incomplete backbone tensor set")
-    layers = []
-    for i in layer_ids:
-        try:
-            layers.append(
-                (Tensor(tensors[f"backbone.{i}.kernel"]), Tensor(tensors[f"backbone.{i}.bias"]))
-            )
-        except KeyError as exc:
-            raise FormatError(f"{path}: missing tensor {exc}") from exc
-    backbone = BackboneParams(layers=layers, embed_dim=embed_dim)
-
-    if "classifier.weights" not in tensors:
-        raise FormatError(f"{path}: missing classifier weights")
-    weights = tensors["classifier.weights"]
-    if weights.shape[0] != n_classes:
+    layers = [(tensor(f"backbone.{i}.kernel"), tensor(f"backbone.{i}.bias")) for i in layer_ids]
+    weights = tensor("classifier.weights")
+    if weights.data.ndim != 2 or weights.shape[0] != len(doc["class_ids"]):
         raise FormatError(f"{path}: classifier rows disagree with class table")
-    classifier = make_classifier(class_ids, weights, roles, alpha)
-
     gammanet = None
     if "gamma.w1" in tensors:
-        try:
-            gammanet = GammaNet(
-                w1=Tensor(tensors["gamma.w1"]),
-                b1=Tensor(tensors["gamma.b1"]),
-                w2=Tensor(tensors["gamma.w2"]),
-                b2=Tensor(tensors["gamma.b2"]),
-            )
-        except KeyError as exc:
-            raise FormatError(f"{path}: missing tensor {exc}") from exc
+        gammanet = GammaNet(*(tensor(f"gamma.{n}") for n in ("w1", "b1", "w2", "b2")))
+    return BackboneParams(layers=layers, embed_dim=doc["embed_dim"]), weights, gammanet
+
+
+def load_checkpoint(path: str) -> EvalModel:
+    doc = _read_all(path)
+    meta = doc["meta"]
+    backbone, weights, gammanet = _params_from(doc, trainable=False)
+    try:
+        classifier = make_classifier(doc["class_ids"], weights.data, doc["roles"], doc["alpha"])
+    except ProtosegError as exc:
+        raise FormatError(f"{path}: bad class table: {exc}") from exc
 
     known = {"variant", "converged_gamma", "amp_gamma"}
     return EvalModel(
@@ -239,7 +236,7 @@ def load_checkpoint(path: str) -> EvalModel:
         variant_kind=meta.get("variant", "baseline"),
         converged_gamma=meta.get("converged_gamma"),
         amp_gamma=meta.get("amp_gamma", 0.5),
-        class_names=names,
+        class_names=doc["names"],
         meta={k: v for k, v in meta.items() if k not in known},
     )
 
@@ -268,9 +265,23 @@ def save_train_state(path: str, state, class_names=None, store_f32: bool = False
     save_checkpoint(path, model, store_f32=store_f32, extra_tensors=extra)
 
 
+_TRAIN_STATE_SCHEMA = {
+    "step": int,
+    "config": dict,
+    "rng_batches": dict,
+    "rng_steps": dict,
+    "gamma_steps": list,
+}
+
+
+def _generator(state: dict) -> np.random.Generator:
+    rng = np.random.default_rng(0)
+    rng.bit_generator.state = state
+    return rng
+
+
 def load_train_state(path: str):
     """Rebuild a TrainState from a snapshot written by save_train_state."""
-    from .backbone import BackboneParams as _BB
     from .training import TrainConfig, TrainState, make_variant
 
     doc = _read_all(path)
@@ -278,41 +289,22 @@ def load_train_state(path: str):
     saved = meta.get("train_state")
     if saved is None:
         raise FormatError(f"{path}: checkpoint carries no training state to resume")
-    config = TrainConfig(**saved["config"])
-    variant = make_variant(meta.get("variant", "baseline"))
-    tensors = doc["tensors"]
+    if not isinstance(saved, dict):
+        raise FormatError(f"{path}: training state must be a JSON object")
+    for key, kind in _TRAIN_STATE_SCHEMA.items():
+        if not isinstance(saved.get(key), kind) or isinstance(saved[key], bool):
+            raise FormatError(f"{path}: training state needs {kind.__name__} {key!r}")
+    try:
+        config = TrainConfig(**saved["config"])
+        variant = make_variant(meta.get("variant", "baseline"))
+        rng_batches = _generator(saved["rng_batches"])
+        rng_steps = _generator(saved["rng_steps"])
+        gamma_steps = [float(g) for g in saved["gamma_steps"]]
+    except (ProtosegError, TypeError, ValueError, KeyError, OverflowError) as exc:
+        raise FormatError(f"{path}: bad training state: {exc}") from exc
+    backbone, weights, gammanet = _params_from(doc, trainable=True)
 
-    layer_ids = sorted(
-        {
-            int(m.group(1))
-            for t in tensors
-            if (m := re.fullmatch(r"backbone\.(\d+)\.kernel", t))
-        }
-    )
-    layers = [
-        (
-            Tensor(tensors[f"backbone.{i}.kernel"], requires_grad=True),
-            Tensor(tensors[f"backbone.{i}.bias"], requires_grad=True),
-        )
-        for i in layer_ids
-    ]
-    backbone = _BB(layers=layers, embed_dim=doc["embed_dim"])
-    weights = Tensor(tensors["classifier.weights"], requires_grad=True)
-    gammanet = None
-    if "gamma.w1" in tensors:
-        gammanet = GammaNet(
-            w1=Tensor(tensors["gamma.w1"], requires_grad=True),
-            b1=Tensor(tensors["gamma.b1"], requires_grad=True),
-            w2=Tensor(tensors["gamma.w2"], requires_grad=True),
-            b2=Tensor(tensors["gamma.b2"], requires_grad=True),
-        )
-
-    rng_batches = np.random.default_rng(0)
-    rng_batches.bit_generator.state = saved["rng_batches"]
-    rng_steps = np.random.default_rng(0)
-    rng_steps.bit_generator.state = saved["rng_steps"]
-
-    state = TrainState(
+    return TrainState(
         config=config,
         variant=variant,
         backbone=backbone,
@@ -322,10 +314,11 @@ def load_train_state(path: str):
         gammanet=gammanet,
         rng_batches=rng_batches,
         rng_steps=rng_steps,
-        step=int(saved["step"]),
+        step=saved["step"],
         velocities={
-            name[len("opt.") :]: arr for name, arr in tensors.items() if name.startswith("opt.")
+            name[len("opt.") :]: arr
+            for name, arr in doc["tensors"].items()
+            if name.startswith("opt.")
         },
-        gamma_steps=[float(g) for g in saved["gamma_steps"]],
+        gamma_steps=gamma_steps,
     )
-    return state

@@ -31,14 +31,12 @@ from .errors import (
     NumericalError,
     ProtosegError,
 )
-from .model import EvalModel
-from .netpbm import read_ppm, write_pgm
+from .netpbm import atomic_write, read_ppm, write_pgm
 from .prototypes import classify
 from .protocols import (
     DEFAULT_FS_EPISODES,
     DEFAULT_SEEDS,
     register_for_variant,
-    replace_variant,
     run_ablation,
     run_fs_protocol,
     run_gfs_protocol,
@@ -81,6 +79,8 @@ def _load_config(path: str | None) -> dict:
         raise ConfigError(
             f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: invalid JSON, not UTF-8 ({exc.reason})") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: config root must be an object")
     return doc
@@ -117,16 +117,6 @@ def _parse_seeds(raw: str | None):
         return tuple(int(s) for s in raw.replace(" ", "").split(",") if s)
     except ValueError as exc:
         raise ConfigError(f"bad seed list {raw!r}") from exc
-
-
-def _write_text(path: str, payload: str) -> None:
-    tmp = f"{path}.tmp.{os.getpid()}"
-    try:
-        with open(tmp, "w") as fh:
-            fh.write(payload)
-        os.replace(tmp, path)
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -186,13 +176,9 @@ def cmd_register(args) -> int:
     names = dict(model.class_names)
     for cid in clf.ids_with_role("novel"):
         names.setdefault(cid, f"class{cid}")
-    registered = EvalModel(
-        backbone=model.backbone,
+    registered = dataclasses.replace(
+        model,
         classifier=clf,
-        gammanet=model.gammanet,
-        variant_kind=model.variant_kind,
-        converged_gamma=model.converged_gamma,
-        amp_gamma=model.amp_gamma,
         class_names=names,
         meta={**model.meta, "registered_shots": args.shots, "registered_seed": args.seed},
     )
@@ -209,14 +195,7 @@ def cmd_predict(args) -> int:
     write_pgm(args.out, pred)
     if args.logits:
         h, w, n = logits.shape
-        payload = struct.pack("<III", h, w, n) + logits.astype("<f4").tobytes()
-        tmp = f"{args.logits}.tmp.{os.getpid()}"
-        try:
-            with open(tmp, "wb") as fh:
-                fh.write(payload)
-            os.replace(tmp, args.logits)
-        except OSError as exc:
-            raise IoError(f"cannot write {args.logits}: {exc}") from exc
+        atomic_write(args.logits, struct.pack("<III", h, w, n) + logits.astype("<f4").tobytes())
     print(args.out)
     return EXIT_OK
 
@@ -247,7 +226,7 @@ def cmd_eval(args) -> int:
         result["variant"] = model.variant_kind
         result["split_index"] = manifest.split_index
         payload = json.dumps(result, indent=2, sort_keys=True) + "\n"
-    _write_text(args.report, payload)
+    atomic_write(args.report, payload.encode())
     print(args.report)
     return EXIT_OK
 

@@ -63,12 +63,6 @@ class ConfusionMatrix:
             raise DataError(f"unregistered class id in {what}")
         return mapped
 
-    def merge(self, other: "ConfusionMatrix") -> "ConfusionMatrix":
-        if other.class_ids != self.class_ids:
-            raise DataError("cannot merge confusion matrices over different classes")
-        self.counts += other.counts
-        return self
-
 
 def iou_per_class(cm: ConfusionMatrix) -> dict[int, float | None]:
     """IoU per class id; None when the class has zero union (absent everywhere)."""

@@ -2,7 +2,7 @@
 
 Images map [0, 1] floats to bytes by round(v * 255) and back by /255, so a
 write-read round trip is lossless at 8-bit quantization; masks round-trip
-bitwise. Writes go through a temp file and rename so outputs are atomic.
+bitwise.
 """
 
 from __future__ import annotations
@@ -16,7 +16,14 @@ from .errors import FormatError, IoError
 MAXVAL = 255
 
 
-def _atomic_write(path: str, payload: bytes) -> None:
+def atomic_write(path: str, payload: bytes) -> None:
+    """Write ``payload`` to ``path`` all at once or not at all.
+
+    The bytes go to ``<path>.tmp.<pid>`` and are renamed over ``path``, so a
+    reader sees either the old file or the complete new one. On failure the
+    temp file is removed and the ``OSError`` becomes an ``IoError``. Every file
+    the package writes goes through here.
+    """
     tmp = f"{path}.tmp.{os.getpid()}"
     try:
         with open(tmp, "wb") as fh:
@@ -71,7 +78,7 @@ def write_ppm(path: str, image: np.ndarray) -> None:
     h, w, _ = img.shape
     quantized = np.clip(np.rint(img * MAXVAL), 0, MAXVAL).astype(np.uint8)
     header = f"P6\n{w} {h}\n{MAXVAL}\n".encode()
-    _atomic_write(path, header + quantized.tobytes())
+    atomic_write(path, header + quantized.tobytes())
 
 
 def read_ppm(path: str) -> np.ndarray:
@@ -97,7 +104,7 @@ def write_pgm(path: str, mask: np.ndarray) -> None:
         raise FormatError("mask values must fit in one byte")
     h, w = m.shape
     header = f"P5\n{w} {h}\n{MAXVAL}\n".encode()
-    _atomic_write(path, header + m.astype(np.uint8).tobytes())
+    atomic_write(path, header + m.astype(np.uint8).tobytes())
 
 
 def read_pgm(path: str) -> np.ndarray:

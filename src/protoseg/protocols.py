@@ -8,11 +8,12 @@ only recomputes prototypes and the cheap cosine scores.
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -21,6 +22,7 @@ from .backbone import extract_features
 from .errors import ConfigError, DataError, ProtosegError
 from .metrics import ConfusionMatrix, MetricsReport, iou_per_class, mean_report, summarize_confusion
 from .model import EvalModel, from_train_state
+from .netpbm import atomic_write
 from .prototypes import (
     ROLE_NOVEL,
     SupportSet,
@@ -42,28 +44,6 @@ from .training import (
 
 DEFAULT_SEEDS = (123, 321, 456, 654, 999)
 DEFAULT_FS_EPISODES = 500
-
-
-def worker_count() -> int:
-    """Worker cap from CAPL_THREADS; defaults to the machine's cores."""
-    raw = os.environ.get("CAPL_THREADS", "")
-    if raw.strip():
-        try:
-            n = int(raw)
-        except ValueError as exc:
-            raise ConfigError(f"CAPL_THREADS must be an integer, got {raw!r}") from exc
-        if n < 1:
-            raise ConfigError("CAPL_THREADS must be >= 1")
-        return n
-    return os.cpu_count() or 1
-
-
-def _extract_many(model: EvalModel, images: list[Tensor]) -> list[Tensor]:
-    workers = min(worker_count(), len(images)) or 1
-    if workers == 1:
-        return [extract_features(model.backbone, img) for img in images]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda img: extract_features(model.backbone, img), images))
 
 
 def register_for_variant(
@@ -107,7 +87,7 @@ def run_gfs_protocol(
     if not manifest.test:
         raise DataError("manifest has an empty test set")
     pairs = [load_pair(manifest, e) for e in manifest.test]
-    feats = _extract_many(model, [img for img, _ in pairs])
+    feats = [extract_features(model.backbone, img) for img, _ in pairs]
     truths = [mask for _, mask in pairs]
 
     if not k:
@@ -271,24 +251,11 @@ def model_for_variant(
     names = {int(c["id"]): c["name"] for c in manifest.classes}
     scheme = TRAIN_SCHEME[make_variant(kind).kind]
     model = trained_model_for_scheme(scheme, manifest, config, cache_dir, names)
-    model = replace_variant(model, kind)
+    model = replace(model, variant_kind=kind)
     if make_variant(kind).gamma_mode == "converged" and model.converged_gamma is None:
         donor = trained_model_for_scheme("capl", manifest, config, cache_dir, names)
         model.converged_gamma = donor.converged_gamma
     return model
-
-
-def replace_variant(model: EvalModel, kind: str) -> EvalModel:
-    return EvalModel(
-        backbone=model.backbone,
-        classifier=model.classifier,
-        gammanet=model.gammanet,
-        variant_kind=kind,
-        converged_gamma=model.converged_gamma,
-        amp_gamma=model.amp_gamma,
-        class_names=model.class_names,
-        meta=model.meta,
-    )
 
 
 def run_ablation(
@@ -320,12 +287,11 @@ def run_ablation(
 
 
 def write_ablation_csv(rows: list[dict], path: str) -> None:
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["variant", "shots", "seed", "base", "novel", "total"])
-        writer.writeheader()
-        writer.writerows(rows)
+    buf = io.StringIO(newline="")
+    writer = csv.DictWriter(buf, fieldnames=["variant", "shots", "seed", "base", "novel", "total"])
+    writer.writeheader()
+    writer.writerows(rows)
+    atomic_write(path, buf.getvalue().encode())
 
 
 def report_to_json(report: MetricsReport, config_echo: dict) -> str:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigError, DataError, GenerationError, IoError
-from .netpbm import read_pgm, read_ppm, write_pgm, write_ppm
+from .netpbm import atomic_write, read_pgm, read_ppm, write_pgm, write_ppm
 from .prototypes import ROLE_BASE, ROLE_NOVEL, SupportSample, SupportSet
 from .tensor import IGNORE_LABEL, Tensor
 
@@ -386,13 +386,7 @@ def build_dataset(config: SceneConfig, split_index: int, out_dir: str) -> Datase
         base_dir=out_dir,
     )
     payload = json.dumps(manifest.to_json(), indent=2, sort_keys=True) + "\n"
-    tmp = os.path.join(out_dir, "manifest.json.tmp")
-    try:
-        with open(tmp, "w") as fh:
-            fh.write(payload)
-        os.replace(tmp, os.path.join(out_dir, "manifest.json"))
-    except OSError as exc:
-        raise IoError(f"cannot write manifest: {exc}") from exc
+    atomic_write(os.path.join(out_dir, "manifest.json"), payload.encode())
     return manifest
 
 
@@ -404,6 +398,8 @@ def load_manifest(path: str) -> DatasetManifest:
         raise IoError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: invalid JSON, not UTF-8 ({exc.reason})") from exc
 
     def entries(items):
         return [

@@ -14,13 +14,16 @@ on or off to reproduce the ablation grid.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+import io
+import math
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import tensor as T
 from .backbone import BackboneParams, extract_features, init_backbone
 from .errors import ConfigError, DataError, NumericalError
+from .netpbm import atomic_write
 from .prototypes import (
     GammaNet,
     fuse_prototype,
@@ -53,8 +56,13 @@ class TrainConfig:
     clip_grad_norm: float = 1.0  # 0 disables clipping
 
     def __post_init__(self):
-        if not isinstance(self.batch_size, int) or isinstance(self.batch_size, bool):
-            raise ConfigError(f"batch size must be an integer, got {self.batch_size!r}")
+        for f in fields(self):  # the annotations above are the type table
+            value = getattr(self, f.name)
+            real = isinstance(value, (int, float)) and not isinstance(value, bool)
+            if f.type == "int" and not (real and isinstance(value, int)):
+                raise ConfigError(f"{f.name} must be an integer, got {value!r}")
+            if f.type == "float" and not (real and math.isfinite(value)):
+                raise ConfigError(f"{f.name} must be a finite number, got {value!r}")
         if self.batch_size < 4:
             raise ConfigError(f"batch size must be >= 4, got {self.batch_size}")
         if self.lr <= 0:
@@ -449,7 +457,8 @@ def train(config: TrainConfig, data: TrainData, variant: VariantSpec) -> TrainSt
 
 
 def write_curve(state: TrainState, path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["step", "l_cls", "l_update", "loss", "mean_gamma"])
-        writer.writeheader()
-        writer.writerows(state.curve)
+    buf = io.StringIO(newline="")
+    writer = csv.DictWriter(buf, fieldnames=["step", "l_cls", "l_update", "loss", "mean_gamma"])
+    writer.writeheader()
+    writer.writerows(state.curve)
+    atomic_write(path, buf.getvalue().encode())

@@ -1,10 +1,13 @@
 """Checkpoint format: round trips, CRC integrity, precision options."""
 
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
 from protoseg.backbone import init_backbone
-from protoseg.checkpoint import load_checkpoint, save_checkpoint
+from protoseg.checkpoint import load_checkpoint, load_train_state, save_checkpoint
 from protoseg.errors import FormatError, IoError
 from protoseg.model import EvalModel
 from protoseg.prototypes import init_gamma_net, make_classifier
@@ -103,3 +106,98 @@ def test_bad_magic_rejected(tmp_path):
     open(path, "wb").write(body + struct.pack("<I", zlib.crc32(body)))
     with pytest.raises(FormatError):
         load_checkpoint(path)
+
+
+def _with_crc(body: bytes) -> bytes:
+    return body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
+
+
+def test_save_onto_directory_raises_io_error_and_leaves_no_temp_file(tmp_path):
+    target = tmp_path / "target"
+    target.mkdir()
+    with pytest.raises(IoError):
+        save_checkpoint(str(target), _model())
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["target"]
+
+
+def test_non_utf8_class_name_is_format_error(tmp_path):
+    path = str(tmp_path / "m.ckpt")
+    save_checkpoint(path, _model())
+    body = bytearray(open(path, "rb").read()[:-4])
+    body[body.index(b"thing")] = 0xFF
+    open(path, "wb").write(_with_crc(bytes(body)))
+    with pytest.raises(FormatError, match="UTF-8"):
+        load_checkpoint(path)
+
+
+def _train_state_meta() -> dict:
+    from dataclasses import asdict
+
+    from protoseg.training import TrainConfig
+
+    return {
+        "step": 3,
+        "config": asdict(TrainConfig(batch_size=4, embed_dim=6, backbone_layers=2)),
+        "rng_batches": np.random.default_rng(1).bit_generator.state,
+        "rng_steps": np.random.default_rng(2).bit_generator.state,
+        "gamma_steps": [0.5, 0.25],
+    }
+
+
+def _save_with_train_state(path: str, saved) -> None:
+    model = _model()
+    model.meta["train_state"] = saved
+    save_checkpoint(path, model)
+
+
+def test_train_state_meta_round_trips(tmp_path):
+    path = str(tmp_path / "s.ckpt")
+    _save_with_train_state(path, _train_state_meta())
+    state = load_train_state(path)
+    assert state.step == 3
+    assert state.config.embed_dim == 6
+    assert state.gamma_steps == [0.5, 0.25]
+    assert state.rng_steps.bit_generator.state == np.random.default_rng(2).bit_generator.state
+    assert all(t.requires_grad for _, t in state.parameters())
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("config", None),
+        ("step", None),
+        ("rng_batches", None),
+        ("rng_steps", None),
+        ("gamma_steps", None),
+        ("step", "3"),
+        ("step", True),
+        ("config", [4, 6]),
+        ("config", {"batch_size": 4, "colour": "red"}),
+        ("config", {"lr": float("nan")}),
+        ("rng_batches", {"bit_generator": "PCG64"}),
+        ("rng_steps", {"bit_generator": "MT19937x", "state": {}}),
+        ("gamma_steps", ["half"]),
+    ],
+)
+def test_train_state_schema_violations_are_format_errors(tmp_path, key, value):
+    saved = _train_state_meta()
+    if value is None:
+        del saved[key]
+    else:
+        saved[key] = value
+    path = str(tmp_path / "s.ckpt")
+    _save_with_train_state(path, saved)
+    with pytest.raises(FormatError):
+        load_train_state(path)
+
+
+def test_train_state_without_a_gate_bias_is_format_error(tmp_path):
+    model = _model()
+    model.meta["train_state"] = _train_state_meta()
+    path = str(tmp_path / "s.ckpt")
+    named = [(n, t.data) for n, t in model.gammanet.tensors() if n != "gamma.b2"]
+    model.gammanet = None
+    save_checkpoint(path, model, extra_tensors=named)
+    for loader in (load_checkpoint, load_train_state):
+        with pytest.raises(FormatError, match="gamma.b2"):
+            loader(path)

@@ -95,6 +95,12 @@ def test_bad_json_config_exits_2(tmp_path, capsys):
     assert "line" in err and "column" in err
 
 
+def test_non_utf8_config_exits_2(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"scene": {"seed": "\xff"}}')
+    assert main(["synth", "--config", str(bad), "--out", str(tmp_path / "x")]) == 2
+
+
 def test_unknown_config_key_exits_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"scene": {"heigth": 24}}))
@@ -157,6 +163,26 @@ def test_interrupted_training_resumes_to_identical_state(workspace, tmp_path):
     assert main(["train", "--data", workspace["manifest"], "--resume", part,
                  "--out", full]) == 0
     assert sha(full) == sha(workspace["ckpt"])
+
+
+def test_resume_from_snapshot_without_a_bias_exits_3(workspace, tmp_path, monkeypatch):
+    from protoseg.backbone import BackboneParams
+    from protoseg.checkpoint import load_train_state, save_train_state
+
+    state = load_train_state(workspace["ckpt"])
+    full = BackboneParams.tensors
+    monkeypatch.setattr(
+        BackboneParams,
+        "tensors",
+        lambda self: [(n, t) for n, t in full(self) if n != "backbone.0.bias"],
+    )
+    broken = str(tmp_path / "broken.ckpt")
+    save_train_state(broken, state)
+    monkeypatch.undo()
+    out = str(tmp_path / "out.ckpt")
+    code = main(["train", "--data", workspace["manifest"], "--resume", broken, "--out", out])
+    assert code == 3
+    assert not os.path.exists(out)
 
 
 def test_register_adds_novel_rows(workspace, tmp_path):

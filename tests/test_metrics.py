@@ -100,19 +100,6 @@ def test_accumulation_is_order_invariant():
     assert np.array_equal(fwd.counts, rev.counts)
 
 
-def test_merge_matches_joint_accumulation():
-    rng = np.random.default_rng(1)
-    a = ConfusionMatrix([0, 1])
-    b = ConfusionMatrix([0, 1])
-    joint = ConfusionMatrix([0, 1])
-    for cm_part in (a, b):
-        p = rng.integers(0, 2, (4, 4))
-        t = rng.integers(0, 2, (4, 4))
-        cm_part.accumulate(p, t)
-        joint.accumulate(p, t)
-    assert np.array_equal(a.merge(b).counts, joint.counts)
-
-
 def test_unregistered_truth_id_raises():
     cm = ConfusionMatrix([0, 1])
     with pytest.raises(DataError):

@@ -5,16 +5,14 @@ import os
 import numpy as np
 import pytest
 
-from protoseg.errors import ConfigError, DataError
+from protoseg.errors import ConfigError, DataError, IoError
 from protoseg.model import from_train_state
 from protoseg.protocols import (
     model_for_variant,
     register_for_variant,
-    replace_variant,
     run_ablation,
     run_fs_protocol,
     run_gfs_protocol,
-    worker_count,
     write_ablation_csv,
 )
 from protoseg.scenes import SceneConfig, build_dataset, load_manifest, sample_support_set
@@ -133,6 +131,11 @@ def test_ablation_single_variant_rows(world, tmp_path):
     assert header == "variant,shots,seed,base,novel,total"
 
 
+def test_write_ablation_csv_to_missing_directory_raises_io_error(tmp_path):
+    with pytest.raises(IoError):
+        write_ablation_csv([], str(tmp_path / "missing" / "ab.csv"))
+
+
 def test_ablation_cache_reuse_is_identical(world, tmp_path):
     manifest, _ = world
     cache = str(tmp_path / "cache")
@@ -162,28 +165,6 @@ def test_baseline_registration_never_touches_base_rows(world):
     base = models["baseline"].classifier
     for cid in base.class_ids:
         assert np.array_equal(clf.row(cid), base.row(cid))
-
-
-def test_worker_count_env(monkeypatch):
-    monkeypatch.setenv("CAPL_THREADS", "3")
-    assert worker_count() == 3
-    monkeypatch.setenv("CAPL_THREADS", "zero")
-    with pytest.raises(ConfigError):
-        worker_count()
-    monkeypatch.setenv("CAPL_THREADS", "0")
-    with pytest.raises(ConfigError):
-        worker_count()
-    monkeypatch.delenv("CAPL_THREADS")
-    assert worker_count() >= 1
-
-
-def test_threaded_eval_matches_serial(world, monkeypatch):
-    manifest, models = world
-    monkeypatch.setenv("CAPL_THREADS", "1")
-    serial = run_gfs_protocol(models["capl"], manifest, 1, seeds=(123,))
-    monkeypatch.setenv("CAPL_THREADS", "2")
-    threaded = run_gfs_protocol(models["capl"], manifest, 1, seeds=(123,))
-    assert serial.to_json() == threaded.to_json()
 
 
 # ---------------------------------------------------------------------------

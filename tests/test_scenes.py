@@ -228,6 +228,15 @@ def test_manifest_round_trip(built):
     assert loaded.support_pool[0].novel_id is not None
 
 
+def test_non_utf8_manifest_is_config_error(built, tmp_path):
+    out, _ = built
+    raw = open(os.path.join(out, "manifest.json"), "rb").read()
+    path = tmp_path / "manifest.json"
+    path.write_bytes(raw.replace(b"class1", b"class\xff", 1))
+    with pytest.raises(ConfigError, match="not UTF-8"):
+        load_manifest(str(path))
+
+
 def test_sample_support_set(built):
     out, _ = built
     manifest = load_manifest(os.path.join(out, "manifest.json"))

@@ -5,7 +5,7 @@ import pytest
 
 import protoseg.tensor as T
 from protoseg.backbone import extract_features, init_backbone
-from protoseg.errors import ConfigError, DataError, DegenerateBatchError
+from protoseg.errors import ConfigError, DataError, DegenerateBatchError, IoError
 from protoseg.prototypes import init_gamma_net
 from protoseg.tensor import Tape, Tensor, backward, gradient_check
 from protoseg.training import (
@@ -22,6 +22,7 @@ from protoseg.training import (
     select_fake_classes,
     train,
     train_step,
+    write_curve,
 )
 
 
@@ -328,6 +329,12 @@ def test_train_zero_steps_returns_initialized_state():
     assert state.weights.shape == (3, 8)
 
 
+def test_write_curve_to_missing_directory_raises_io_error(tmp_path):
+    state = train(_tiny_config(steps=1), _tiny_data(), make_variant("capl"))
+    with pytest.raises(IoError):
+        write_curve(state, str(tmp_path / "missing" / "curve.csv"))
+
+
 def test_training_is_bitwise_reproducible():
     cfg = _tiny_config(steps=8)
     data = _tiny_data()
@@ -422,6 +429,12 @@ def test_make_variant_table():
         ("poly_power", -1.0),
         ("clip_grad_norm", -1.0),
         ("batch_size", 8.0),
+        ("lr", float("nan")),
+        ("momentum", float("nan")),
+        ("steps", 2.5),
+        ("embed_dim", 8.0),
+        ("steps", True),
+        ("seed", 1.5),
     ],
 )
 def test_train_config_rejects_bad_values_at_construction(field, value):

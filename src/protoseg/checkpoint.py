@@ -21,31 +21,26 @@ from __future__ import annotations
 import io
 import json
 import math
-import re
 import struct
 import zlib
+from dataclasses import asdict
 
 import numpy as np
 
 from .backbone import BackboneParams
 from .errors import FormatError, IoError, ProtosegError
-from .model import EvalModel
+from .model import EvalModel, from_train_state
 from .netpbm import atomic_write
-from .prototypes import GammaNet, ROLE_BASE, ROLE_NOVEL, make_classifier
+from .prototypes import (
+    ROLE_BASE, ROLE_NOVEL, GammaNet, make_classifier, named_parameters, parameters_from_named
+)
 from .tensor import Tensor
+from .training import DEFAULT_AMP_GAMMA, VARIANT_KINDS, TrainConfig, TrainState, make_variant
 
 MAGIC = b"CAPL"
 VERSION = 1
 _ROLE_CODE = {ROLE_BASE: 0, ROLE_NOVEL: 1}
 _CODE_ROLE = {v: k for k, v in _ROLE_CODE.items()}
-
-
-def _named_tensors(model: EvalModel) -> list[tuple[str, np.ndarray]]:
-    named = [(name, t.data) for name, t in model.backbone.tensors()]
-    named.append(("classifier.weights", model.classifier.weights))
-    if model.gammanet is not None:
-        named.extend((name, t.data) for name, t in model.gammanet.tensors())
-    return named
 
 
 def save_checkpoint(
@@ -77,7 +72,8 @@ def save_checkpoint(
     buf.write(struct.pack("<I", len(meta_bytes)))
     buf.write(meta_bytes)
 
-    named = _named_tensors(model) + list(extra_tensors or [])
+    params = named_parameters(model.backbone, Tensor(model.classifier.weights), model.gammanet)
+    named = [(n, t.data) for n, t in params] + list(extra_tensors or [])
     names = [n for n, _ in named]
     if len(set(names)) != len(names):
         raise FormatError("duplicate tensor names")
@@ -193,30 +189,20 @@ def _read_all(path: str) -> dict:
 
 def _params_from(doc: dict, trainable: bool) -> tuple[BackboneParams, Tensor, GammaNet | None]:
     """The backbone, classifier weights and gate stored in a parsed checkpoint."""
-    path, tensors = doc["path"], doc["tensors"]
-
-    def tensor(name: str) -> Tensor:
-        if name not in tensors:
-            raise FormatError(f"{path}: missing tensor {name!r}")
-        return Tensor(tensors[name], requires_grad=trainable)
-
-    layer_ids = sorted(
-        {
-            int(m.group(1))
-            for t in tensors
-            if (m := re.fullmatch(r"backbone\.(\d+)\.kernel", t))
-        }
-    )
-    if not layer_ids or layer_ids != list(range(len(layer_ids))):
-        raise FormatError(f"{path}: incomplete backbone tensor set")
-    layers = [(tensor(f"backbone.{i}.kernel"), tensor(f"backbone.{i}.bias")) for i in layer_ids]
-    weights = tensor("classifier.weights")
+    path = doc["path"]
+    named = {n: Tensor(arr, requires_grad=trainable) for n, arr in doc["tensors"].items()}
+    try:
+        backbone, weights, gammanet = parameters_from_named(named, doc["embed_dim"])
+    except KeyError as exc:
+        raise FormatError(f"{path}: missing tensor {exc}") from exc
     if weights.data.ndim != 2 or weights.shape[0] != len(doc["class_ids"]):
         raise FormatError(f"{path}: classifier rows disagree with class table")
-    gammanet = None
-    if "gamma.w1" in tensors:
-        gammanet = GammaNet(*(tensor(f"gamma.{n}") for n in ("w1", "b1", "w2", "b2")))
-    return BackboneParams(layers=layers, embed_dim=doc["embed_dim"]), weights, gammanet
+    return backbone, weights, gammanet
+
+
+def _is_gamma(value) -> bool:
+    real = isinstance(value, (int, float)) and not isinstance(value, bool)
+    return real and 0 <= value <= 1
 
 
 def load_checkpoint(path: str) -> EvalModel:
@@ -228,14 +214,24 @@ def load_checkpoint(path: str) -> EvalModel:
     except ProtosegError as exc:
         raise FormatError(f"{path}: bad class table: {exc}") from exc
 
+    variant = meta.get("variant", "baseline")
+    converged = meta.get("converged_gamma")
+    amp = meta.get("amp_gamma", DEFAULT_AMP_GAMMA)
+    if variant not in VARIANT_KINDS:
+        raise FormatError(f"{path}: unknown variant {variant!r}")
+    if converged is not None and not _is_gamma(converged):
+        raise FormatError(f"{path}: converged_gamma must be null or in [0, 1], got {converged!r}")
+    if not _is_gamma(amp):
+        raise FormatError(f"{path}: amp_gamma must be a number in [0, 1], got {amp!r}")
+
     known = {"variant", "converged_gamma", "amp_gamma"}
     return EvalModel(
         backbone=backbone,
         classifier=classifier,
         gammanet=gammanet,
-        variant_kind=meta.get("variant", "baseline"),
-        converged_gamma=meta.get("converged_gamma"),
-        amp_gamma=meta.get("amp_gamma", 0.5),
+        variant_kind=variant,
+        converged_gamma=converged,
+        amp_gamma=amp,
         class_names=doc["names"],
         meta={k: v for k, v in meta.items() if k not in known},
     )
@@ -249,10 +245,6 @@ def load_checkpoint(path: str) -> EvalModel:
 def save_train_state(path: str, state, class_names=None, store_f32: bool = False) -> None:
     """Persist a training run so it can continue bitwise-identically: model
     tensors plus momentum buffers ("opt.*") and generator states in the meta."""
-    from dataclasses import asdict
-
-    from .model import from_train_state
-
     model = from_train_state(state, class_names)
     model.meta["train_state"] = {
         "step": state.step,
@@ -282,8 +274,6 @@ def _generator(state: dict) -> np.random.Generator:
 
 def load_train_state(path: str):
     """Rebuild a TrainState from a snapshot written by save_train_state."""
-    from .training import TrainConfig, TrainState, make_variant
-
     doc = _read_all(path)
     meta = doc["meta"]
     saved = meta.get("train_state")

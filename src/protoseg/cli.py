@@ -30,8 +30,10 @@ from .errors import (
     IoError,
     NumericalError,
     ProtosegError,
+    RangeError,
+    UnsupportedOp,
 )
-from .netpbm import atomic_write, read_ppm, write_pgm
+from .netpbm import atomic_write, read_json, read_ppm, write_pgm
 from .prototypes import classify
 from .protocols import (
     DEFAULT_FS_EPISODES,
@@ -60,7 +62,7 @@ EXIT_NUMERIC = 4
 EXIT_DATA = 5
 
 _EXIT_CODES = (
-    (ConfigError, EXIT_CONFIG),
+    ((ConfigError, RangeError, UnsupportedOp), EXIT_CONFIG),
     ((IoError, FormatError), EXIT_IO),
     (NumericalError, EXIT_NUMERIC),
     ((DataError, EmptyMaskError, DegenerateError, GenerationError), EXIT_DATA),
@@ -68,22 +70,7 @@ _EXIT_CODES = (
 
 
 def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise IoError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(
-            f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from exc
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON, not UTF-8 ({exc.reason})") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: config root must be an object")
-    return doc
+    return {} if path is None else read_json(path)
 
 
 def _section(doc: dict, name: str, cls):

@@ -1,7 +1,7 @@
 """Exception taxonomy shared across the package.
 
-The CLI maps these onto stable exit codes: ConfigError -> 2,
-IoError/FormatError -> 3, NumericalError -> 4, data-level errors -> 5.
+The CLI maps these onto stable exit codes: ConfigError/RangeError/UnsupportedOp
+-> 2, IoError/FormatError -> 3, NumericalError -> 4, data-level errors -> 5.
 """
 
 

@@ -17,7 +17,7 @@ import numpy as np
 from . import tensor as T
 from .backbone import extract_features, init_backbone
 from .errors import UnsupportedOp
-from .prototypes import init_gamma_net
+from .prototypes import init_gamma_net, named_parameters, parameters_from_named
 from .tensor import GradCheckReport, Tensor, gradient_check, op_forward
 from .training import FakeSplit, build_updated_classifier, dual_loss
 
@@ -151,34 +151,12 @@ def run_end_to_end_check(
     support = tuple(range(batch // 2))
     query = tuple(range(batch // 2, batch))
 
-    slots = [("classifier.weights", None)]
-    for i in range(layers):
-        slots.append((f"backbone.{i}.kernel", None))
-        slots.append((f"backbone.{i}.bias", None))
-    slots.extend([("gamma.w1", None), ("gamma.b1", None), ("gamma.w2", None), ("gamma.b2", None)])
+    params = named_parameters(backbone, Tensor(weights0), net)
 
     def loss_with(name: str, probe: Tensor) -> Tensor:
-        bb = init_backbone(c, layers, (seed, 1))
-        for i, (k, b) in enumerate(backbone.layers):
-            bb.layers[i][0].data = k.data.copy()
-            bb.layers[i][1].data = b.data.copy()
-        gn = init_gamma_net(c, (seed, 2))
-        for (gname, dst), (_, src) in zip(gn.tensors(), net.tensors()):
-            dst.data = src.data.copy()
-        wt = Tensor(weights0.copy())
-        for i in range(layers):
-            if name == f"backbone.{i}.kernel":
-                bb.layers[i] = (probe, bb.layers[i][1])
-            if name == f"backbone.{i}.bias":
-                bb.layers[i] = (bb.layers[i][0], probe)
-        if name == "classifier.weights":
-            wt = probe
-        replaced = {gname: t for gname, t in gn.tensors()}
-        if name in replaced:
-            gn.w1 = probe if name == "gamma.w1" else gn.w1
-            gn.b1 = probe if name == "gamma.b1" else gn.b1
-            gn.w2 = probe if name == "gamma.w2" else gn.w2
-            gn.b2 = probe if name == "gamma.b2" else gn.b2
+        named = {n: Tensor(t.data, requires_grad=t.requires_grad) for n, t in params}
+        named[name] = probe
+        bb, wt, gn = parameters_from_named(named, c)
         feats = [extract_features(bb, img) for img in images]
         updated, _ = build_updated_classifier(
             wt, class_ids, gn,
@@ -187,19 +165,6 @@ def run_end_to_end_check(
         loss, _ = dual_loss(wt, updated, feats, masks, query, class_ids, alpha=10.0)
         return loss
 
-    initial = {
-        "classifier.weights": weights0,
-        **{f"backbone.{i}.kernel": backbone.layers[i][0].data for i in range(layers)},
-        **{f"backbone.{i}.bias": backbone.layers[i][1].data for i in range(layers)},
-        "gamma.w1": net.w1.data,
-        "gamma.b1": net.b1.data,
-        "gamma.w2": net.w2.data,
-        "gamma.b2": net.b2.data,
-    }
-    results = []
-    for name, _ in slots:
-        report = gradient_check(
-            lambda t, n=name: loss_with(n, t), Tensor(initial[name].copy()), tol=tol
-        )
-        results.append((name, report))
-    return results
+    return [
+        (name, gradient_check(lambda t, n=name: loss_with(n, t), x, tol=tol)) for name, x in params
+    ]

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 from .backbone import BackboneParams
 from .prototypes import Classifier, GammaNet
-from .training import TrainState
+from .training import DEFAULT_AMP_GAMMA, TrainState
 
 
 @dataclass
@@ -16,7 +16,7 @@ class EvalModel:
     gammanet: GammaNet | None
     variant_kind: str
     converged_gamma: float | None = None
-    amp_gamma: float = 0.5
+    amp_gamma: float = DEFAULT_AMP_GAMMA
     class_names: dict[int, str] = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
 

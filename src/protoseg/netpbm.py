@@ -1,4 +1,6 @@
-"""Binary PPM (P6) and PGM (P5) readers/writers, 8-bit only.
+"""Binary PPM (P6) and PGM (P5) readers/writers, 8-bit only, and the file
+primitives the whole package shares: the atomic writer, directory creation
+and the JSON document reader.
 
 Images map [0, 1] floats to bytes by round(v * 255) and back by /255, so a
 write-read round trip is lossless at 8-bit quantization; masks round-trip
@@ -7,11 +9,12 @@ bitwise.
 
 from __future__ import annotations
 
+import json
 import os
 
 import numpy as np
 
-from .errors import FormatError, IoError
+from .errors import ConfigError, FormatError, IoError
 
 MAXVAL = 255
 
@@ -35,6 +38,36 @@ def atomic_write(path: str, payload: bytes) -> None:
         except OSError:
             pass
         raise IoError(f"cannot write {path}: {exc}") from exc
+
+
+def make_dirs(path: str) -> None:
+    """``os.makedirs(path, exist_ok=True)`` with failures raised as ``IoError``."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise IoError(f"cannot create {path}: {exc}") from exc
+
+
+def read_json(path: str) -> dict:
+    """Parse a JSON document whose root is an object: a config or a manifest.
+
+    An unreadable file is an ``IoError``; bad JSON, non-UTF-8 bytes or
+    another root type are a ``ConfigError``.
+    """
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except OSError as exc:
+        raise IoError(f"cannot read {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(
+            f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
+        ) from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: invalid JSON, not UTF-8 ({exc.reason})") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path}: JSON root must be an object")
+    return doc
 
 
 def _read_header(data: bytes, magic: bytes, path: str) -> tuple[int, int, int]:

@@ -22,7 +22,7 @@ from .backbone import extract_features
 from .errors import ConfigError, DataError, ProtosegError
 from .metrics import ConfusionMatrix, MetricsReport, iou_per_class, mean_report, summarize_confusion
 from .model import EvalModel, from_train_state
-from .netpbm import atomic_write
+from .netpbm import atomic_write, make_dirs
 from .prototypes import (
     ROLE_NOVEL,
     SupportSet,
@@ -34,13 +34,7 @@ from .prototypes import (
 )
 from .scenes import DatasetManifest, load_pair, sample_support_set
 from .tensor import IGNORE_LABEL, Tensor
-from .training import (
-    TRAIN_SCHEME,
-    TrainConfig,
-    load_train_data,
-    make_variant,
-    train,
-)
+from .training import TrainConfig, load_train_data, make_variant, train
 
 DEFAULT_SEEDS = (123, 321, 456, 654, 999)
 DEFAULT_FS_EPISODES = 500
@@ -50,26 +44,15 @@ def register_for_variant(
     model: EvalModel, supports: SupportSet, min_pixels: int = 1
 ):
     """Apply the model's variant policy to build the evaluation classifier."""
-    variant = make_variant(model.variant_kind)
-    if not variant.infer_enrich:
-        return register_novel_classes(
-            model.classifier, None, model.backbone, supports, min_pixels, enrich=False
-        )
-    if variant.gamma_mode == "adaptive":
-        if model.gammanet is None:
-            raise ConfigError(f"variant {model.variant_kind} needs a gate network")
-        return register_novel_classes(
-            model.classifier, model.gammanet, model.backbone, supports, min_pixels
-        )
-    fixed = model.amp_gamma if variant.gamma_mode == "amp" else model.converged_gamma
-    if fixed is None:
+    mode = make_variant(model.variant_kind).gamma_mode
+    gates = {"adaptive": model.gammanet, "converged": model.converged_gamma, "amp": model.amp_gamma}
+    gate = gates.get(mode)
+    if gate is None and mode != "none":
         raise ConfigError(
-            f"variant {model.variant_kind} needs a recorded converged gamma "
-            "(train the full adaptive variant first or supply one explicitly)"
+            f"variant {model.variant_kind} has no {mode} gate (train the full adaptive "
+            "variant first or supply a fixed gamma explicitly)"
         )
-    return register_novel_classes(
-        model.classifier, None, model.backbone, supports, min_pixels, fixed_gamma=fixed
-    )
+    return register_novel_classes(model.classifier, gate, model.backbone, supports, min_pixels)
 
 
 def run_gfs_protocol(
@@ -151,7 +134,7 @@ def run_fs_protocol(
     if not novel_ids:
         raise DataError("manifest declares no novel classes")
 
-    pools = {u: [e for e in manifest.support_pool if e.novel_id == u] for u in novel_ids}
+    pools = {}
     queries: dict[int, list[int]] = {u: [] for u in novel_ids}
     test_pairs = [load_pair(manifest, e) for e in manifest.test]
     for i, (_, mask) in enumerate(test_pairs):
@@ -161,8 +144,7 @@ def run_fs_protocol(
     for u in novel_ids:
         if not queries[u]:
             raise DataError(f"no test scene contains novel class {u}")
-        if len(pools[u]) < k:
-            raise DataError(f"support pool for class {u} has fewer than K={k} scenes")
+        pools[u] = manifest.support_pool_for(u, k)
 
     test_feats: dict[int, Tensor] = {}
     rng = np.random.default_rng(seed)
@@ -227,7 +209,7 @@ def trained_model_for_scheme(
     """Train (or reload from the cache) one underlying training scheme."""
     path = None
     if cache_dir:
-        os.makedirs(cache_dir, exist_ok=True)
+        make_dirs(cache_dir)
         digest = config_digest(config, manifest)
         path = os.path.join(cache_dir, f"{scheme}_split{manifest.split_index}_{digest}.ckpt")
         if os.path.exists(path):
@@ -249,10 +231,10 @@ def model_for_variant(
     """Resolve a variant to its trained model, wiring in the converged gamma
     from the full adaptive run where the variant calls for it."""
     names = {int(c["id"]): c["name"] for c in manifest.classes}
-    scheme = TRAIN_SCHEME[make_variant(kind).kind]
-    model = trained_model_for_scheme(scheme, manifest, config, cache_dir, names)
+    variant = make_variant(kind)
+    model = trained_model_for_scheme(variant.scheme, manifest, config, cache_dir, names)
     model = replace(model, variant_kind=kind)
-    if make_variant(kind).gamma_mode == "converged" and model.converged_gamma is None:
+    if variant.gamma_mode == "converged" and model.converged_gamma is None:
         donor = trained_model_for_scheme("capl", manifest, config, cache_dir, names)
         model.converged_gamma = donor.converged_gamma
     return model

@@ -9,6 +9,7 @@ weighted by a small learned gate network.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -116,6 +117,35 @@ class GammaNet:
             ("gamma.w2", self.w2),
             ("gamma.b2", self.b2),
         ]
+
+
+def named_parameters(
+    backbone: BackboneParams, weights: Tensor, gammanet: GammaNet | None
+) -> list[tuple[str, Tensor]]:
+    """Every trainable tensor under its checkpoint name: the backbone layers,
+    the classifier weights, then the gate when there is one."""
+    named = backbone.tensors()
+    named.append(("classifier.weights", weights))
+    if gammanet is not None:
+        named.extend(gammanet.tensors())
+    return named
+
+
+def parameters_from_named(
+    named: dict[str, Tensor], embed_dim: int
+) -> tuple[BackboneParams, Tensor, GammaNet | None]:
+    """Inverse of ``named_parameters``; other names are ignored. A missing
+    tensor, including a gap in the backbone layer numbers, raises KeyError."""
+    kernel = re.compile(r"backbone\.(\d+)\.kernel")
+    kernels = [int(m.group(1)) for n in named if (m := kernel.fullmatch(n))]
+    layers = [
+        (named[f"backbone.{i}.kernel"], named[f"backbone.{i}.bias"])
+        for i in range(max(kernels, default=0) + 1)
+    ]
+    gammanet = None
+    if "gamma.w1" in named:
+        gammanet = GammaNet(*(named[f"gamma.{n}"] for n in ("w1", "b1", "w2", "b2")))
+    return BackboneParams(layers, embed_dim), named["classifier.weights"], gammanet
 
 
 def init_gamma_net(c: int, seed: int, trainable: bool = True) -> GammaNet:
@@ -238,24 +268,20 @@ def fuse_prototype(p_cls: Tensor, p_feat: Tensor, gamma) -> Tensor:
 
 def register_novel_classes(
     classifier: Classifier,
-    net: GammaNet | None,
+    gate: GammaNet | float | None,
     backbone: BackboneParams,
     supports: SupportSet,
     min_pixels: int = MIN_PIXELS_DEFAULT,
-    *,
-    enrich: bool = True,
-    fixed_gamma: float | None = None,
 ) -> Classifier:
     """Build a new classifier with novel rows imprinted and base rows enriched.
 
     Each declared novel class gets the shot-averaged pooled prototype. Each
     base class covering at least ``min_pixels`` support pixels is replaced by
-    the gated fusion of its trained row with the accumulated context
-    prototype; every other base row is carried over bitwise. The input
+    the fusion of its trained row with the accumulated context prototype,
+    weighted by ``gate``: a gate network's output, or a fixed gamma in
+    [0, 1]. Every other base row is carried over bitwise, and with no gate
+    (``None``, imprint-only registration) every base row is. The input
     classifier is never mutated.
-
-    ``enrich=False`` skips the base-enrichment branch entirely (imprint-only
-    registration); ``fixed_gamma`` bypasses the gate network with a constant.
     """
     declared = supports.novel_ids()
     for nid in declared:
@@ -263,10 +289,9 @@ def register_novel_classes(
             raise ConfigError(f"class {nid} is already registered")
     if len(declared) != len(set(declared)):
         raise ConfigError("duplicate novel class ids")
-    if enrich and fixed_gamma is None and net is None:
-        raise ConfigError("adaptive enrichment needs a gate network")
-    if fixed_gamma is not None and not 0.0 <= fixed_gamma <= 1.0:
-        raise RangeError(f"fixed gamma {fixed_gamma} outside [0, 1]")
+    adaptive = isinstance(gate, GammaNet)  # a fixed gamma may be an int, e.g. JSON 1
+    if gate is not None and not adaptive and not 0.0 <= gate <= 1.0:
+        raise RangeError(f"fixed gamma {gate} outside [0, 1]")
 
     features = [extract_features(backbone, s.image) for s in supports.samples]
 
@@ -283,7 +308,7 @@ def register_novel_classes(
 
     new_ids = list(classifier.class_ids)
     new_rows = [classifier.weights[i].copy() for i in range(classifier.num_classes)]
-    if enrich:
+    if gate is not None:
         for idx, cid in enumerate(classifier.class_ids):
             if classifier.roles[cid] != ROLE_BASE:
                 continue
@@ -291,12 +316,8 @@ def register_novel_classes(
             if count < max(min_pixels, 1):
                 continue
             p_cls = Tensor(classifier.weights[idx])
-            if fixed_gamma is not None:
-                fused = fuse_prototype(p_cls, p_feat, fixed_gamma)
-            else:
-                gamma = gamma_forward(net, p_cls, p_feat)
-                fused = fuse_prototype(p_cls, p_feat, gamma)
-            new_rows[idx] = fused.data
+            gamma = gamma_forward(gate, p_cls, p_feat) if adaptive else gate
+            new_rows[idx] = fuse_prototype(p_cls, p_feat, gamma).data
 
     roles = dict(classifier.roles)
     for nid in declared:

@@ -21,8 +21,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigError, DataError, GenerationError, IoError
-from .netpbm import atomic_write, read_pgm, read_ppm, write_pgm, write_ppm
+from .errors import ConfigError, DataError, GenerationError
+from .netpbm import atomic_write, make_dirs, read_json, read_pgm, read_ppm, write_pgm, write_ppm
 from .prototypes import ROLE_BASE, ROLE_NOVEL, SupportSample, SupportSet
 from .tensor import IGNORE_LABEL, Tensor
 
@@ -302,6 +302,13 @@ class DatasetManifest:
     def ids_with_role(self, role: str) -> tuple[int, ...]:
         return tuple(sorted(int(c["id"]) for c in self.classes if c["role"] == role))
 
+    def support_pool_for(self, novel_id: int, k: int) -> list[PairEntry]:
+        """The pool scenes made for ``novel_id``; a ``DataError`` if fewer than ``k``."""
+        pool = [e for e in self.support_pool if e.novel_id == novel_id]
+        if len(pool) < k:
+            raise DataError(f"support pool for class {novel_id} has {len(pool)} < K={k} scenes")
+        return pool
+
     def to_json(self) -> dict:
         def entries(items):
             out = []
@@ -333,10 +340,7 @@ def build_dataset(config: SceneConfig, split_index: int, out_dir: str) -> Datase
     cfg = config.resolved_for_split(split_index)
     novel = cfg.novel_ids(split_index)
     base = cfg.base_ids(split_index)
-    try:
-        os.makedirs(out_dir, exist_ok=True)
-    except OSError as exc:
-        raise IoError(f"cannot create {out_dir}: {exc}") from exc
+    make_dirs(out_dir)
 
     def emit(name: str, image: Tensor, mask: np.ndarray) -> tuple[str, str]:
         write_ppm(os.path.join(out_dir, f"{name}.ppm"), image.data)
@@ -391,15 +395,7 @@ def build_dataset(config: SceneConfig, split_index: int, out_dir: str) -> Datase
 
 
 def load_manifest(path: str) -> DatasetManifest:
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}") from exc
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON, not UTF-8 ({exc.reason})") from exc
+    doc = read_json(path)
 
     def entries(items):
         return [
@@ -436,9 +432,7 @@ def sample_support_set(manifest: DatasetManifest, k: int, seed: int) -> SupportS
     rng = np.random.default_rng(seed)
     samples = []
     for u in novel_ids:
-        pool = [e for e in manifest.support_pool if e.novel_id == u]
-        if len(pool) < k:
-            raise DataError(f"support pool for class {u} has {len(pool)} < K={k} scenes")
+        pool = manifest.support_pool_for(u, k)
         chosen = rng.choice(len(pool), size=k, replace=False)
         for idx in sorted(int(i) for i in chosen):
             image, mask = load_pair(manifest, pool[idx])

@@ -7,8 +7,8 @@ original classifier over the whole batch with that of the updated classifier
 over the fake-query half. This teaches the feature extractor to produce
 pooled means that can stand in for classifier weights at registration time.
 
-Variant flags turn the rehearsal branches and the inference-time enrichment
-on or off to reproduce the ablation grid.
+The variant table turns the rehearsal branches and the inference-time
+enrichment on or off to reproduce the ablation grid.
 """
 
 from __future__ import annotations
@@ -30,12 +30,12 @@ from .prototypes import (
     gamma_forward,
     init_gamma_net,
     make_classifier,
+    named_parameters,
     pixel_weighted_mean,
 )
 from .scenes import DatasetManifest, load_pair
 from .tensor import IGNORE_LABEL, Tape, Tensor, backward
 
-VARIANT_KINDS = ("baseline", "capl_tr", "capl_te", "capl", "amp_gamma", "convg_gamma")
 DEFAULT_AMP_GAMMA = 0.5
 
 
@@ -82,42 +82,35 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class VariantSpec:
-    """Which rehearsal branches run in training and how gamma is set at inference."""
+    """One row of the ablation grid: the training scheme whose checkpoint the
+    variant reuses, which rehearsal branches that scheme runs, and how gamma is
+    set at inference ("none" registers by imprinting only)."""
 
     kind: str
+    scheme: str
     train_fake_novel: bool
-    train_fake_context: bool
-    infer_enrich: bool
+    train_fake_context: bool  # also: the scheme trains a gate network
     gamma_mode: str  # "adaptive" | "converged" | "amp" | "none"
 
-    @property
-    def trains_gamma(self) -> bool:
-        return self.train_fake_context
+
+VARIANTS = {
+    v.kind: v
+    for v in (
+        VariantSpec("baseline", "baseline", False, False, "none"),
+        VariantSpec("capl_tr", "capl_tr", True, False, "none"),
+        VariantSpec("capl_te", "baseline", False, False, "converged"),
+        VariantSpec("capl", "capl", True, True, "adaptive"),
+        VariantSpec("amp_gamma", "capl", True, True, "amp"),
+        VariantSpec("convg_gamma", "capl", True, True, "converged"),
+    )
+}
+VARIANT_KINDS = tuple(VARIANTS)
 
 
 def make_variant(kind: str) -> VariantSpec:
-    table = {
-        "baseline": VariantSpec("baseline", False, False, False, "none"),
-        "capl_tr": VariantSpec("capl_tr", True, False, False, "none"),
-        "capl_te": VariantSpec("capl_te", False, False, True, "converged"),
-        "capl": VariantSpec("capl", True, True, True, "adaptive"),
-        "amp_gamma": VariantSpec("amp_gamma", True, True, True, "amp"),
-        "convg_gamma": VariantSpec("convg_gamma", True, True, True, "converged"),
-    }
-    if kind not in table:
+    if kind not in VARIANT_KINDS:  # a tuple: an unhashable kind compares unequal
         raise ConfigError(f"unknown variant {kind!r}; expected one of {VARIANT_KINDS}")
-    return table[kind]
-
-
-# training for a variant reuses the checkpoint of its underlying train scheme
-TRAIN_SCHEME = {
-    "baseline": "baseline",
-    "capl_te": "baseline",
-    "capl_tr": "capl_tr",
-    "capl": "capl",
-    "amp_gamma": "capl",
-    "convg_gamma": "capl",
-}
+    return VARIANTS[kind]
 
 
 @dataclass
@@ -131,10 +124,6 @@ class TrainBatch:
 class FakeSplit:
     fake_novel: tuple[int, ...]
     fake_context: tuple[int, ...]
-
-    @property
-    def empty(self) -> bool:
-        return not self.fake_novel and not self.fake_context
 
 
 def partition_batch(samples, rng: np.random.Generator) -> TrainBatch:
@@ -189,19 +178,18 @@ def build_updated_classifier(
     support_feats: list[Tensor],
     support_masks: list[np.ndarray],
     split: FakeSplit,
-    use_context_fusion: bool = True,
 ) -> tuple[Tensor, list[float]]:
     """Assemble the updated weight matrix row by row; gradients flow through
     the pooled means and the gate. Rows outside the split are passed through.
     """
-    wanted = set(split.fake_novel) | (set(split.fake_context) if use_context_fusion else set())
+    wanted = set(split.fake_novel) | set(split.fake_context)
     means = pooled_class_means(support_feats, support_masks, sorted(wanted))
     rows = []
     gammas: list[float] = []
     for idx, cid in enumerate(class_ids):
         if cid in split.fake_novel and cid in means:
             rows.append(means[cid])
-        elif use_context_fusion and cid in split.fake_context and cid in means:
+        elif cid in split.fake_context and cid in means:
             p_cls = T.take_row(weights, idx)
             gamma = gamma_forward(net, p_cls, means[cid])
             gammas.append(float(gamma.data.reshape(())))
@@ -243,7 +231,7 @@ def _batch_ce(
 
 def dual_loss(
     weights: Tensor,
-    updated: Tensor,
+    updated: Tensor | None,
     feats: list[Tensor],
     masks: list[np.ndarray],
     query_positions,
@@ -252,11 +240,13 @@ def dual_loss(
 ) -> tuple[Tensor, dict]:
     """(CE of original weights over all samples + CE of updated weights over
     the fake-query half) / 2. Means are over non-ignored pixels, pooled
-    across the samples in each term."""
+    across the samples in each term. Without an updated classifier (a
+    variant that does not rehearse) the loss is the first term alone."""
     lut = _label_lut(class_ids)
     flat = [T.reshape(T.l2_normalize(f), (f.shape[0] * f.shape[1], f.shape[2])) for f in feats]
-    all_positions = range(len(feats))
-    l_cls = _batch_ce(flat, masks, all_positions, weights, lut, alpha)
+    l_cls = _batch_ce(flat, masks, range(len(feats)), weights, lut, alpha)
+    if updated is None:
+        return l_cls, {"l_cls": float(l_cls.data), "l_update": float(l_cls.data)}
     l_update = _batch_ce(flat, masks, query_positions, updated, lut, alpha)
     loss = T.scale(T.add(l_cls, l_update), 0.5)
     info = {"l_cls": float(l_cls.data), "l_update": float(l_update.data)}
@@ -313,11 +303,7 @@ class TrainState:
     curve: list[dict] = field(default_factory=list)
 
     def parameters(self) -> list[tuple[str, Tensor]]:
-        named = self.backbone.tensors()
-        named.append(("classifier.weights", self.weights))
-        if self.gammanet is not None:
-            named.extend(self.gammanet.tensors())
-        return named
+        return named_parameters(self.backbone, self.weights, self.gammanet)
 
     def classifier(self):
         return make_classifier(self.class_ids, self.weights.data.copy(), self.roles, self.config.alpha)
@@ -337,7 +323,9 @@ def init_state(config: TrainConfig, data: TrainData, variant: VariantSpec) -> Tr
     weights = Tensor(
         rng_w.uniform(-s, s, (len(data.class_ids), config.embed_dim)), requires_grad=True
     )
-    gammanet = init_gamma_net(config.embed_dim, (config.seed, 3)) if variant.trains_gamma else None
+    gammanet = (
+        init_gamma_net(config.embed_dim, (config.seed, 3)) if variant.train_fake_context else None
+    )
     return TrainState(
         config=config,
         variant=variant,
@@ -355,43 +343,32 @@ def train_step(state: TrainState, batch: TrainBatch, rng: np.random.Generator) -
     """One forward/backward/SGD-momentum update; returns the loss breakdown."""
     cfg = state.config
     variant = state.variant
-    rehearse = variant.train_fake_novel or variant.train_fake_context
+    updated = None
     gammas: list[float] = []
     with Tape() as tape:
         feats = [extract_features(state.backbone, img) for img, _ in batch.samples]
         masks = [mask for _, mask in batch.samples]
-        if rehearse:
+        if variant.train_fake_novel or variant.train_fake_context:
             split = select_fake_classes(batch, rng)
             if not variant.train_fake_context:
                 split = FakeSplit(split.fake_novel, ())
-            support_feats = [feats[i] for i in batch.fake_support_idx]
-            support_masks = [masks[i] for i in batch.fake_support_idx]
             updated, gammas = build_updated_classifier(
                 state.weights,
                 state.class_ids,
                 state.gammanet,
-                support_feats,
-                support_masks,
+                [feats[i] for i in batch.fake_support_idx],
+                [masks[i] for i in batch.fake_support_idx],
                 split,
-                use_context_fusion=variant.train_fake_context,
             )
-            loss, info = dual_loss(
-                state.weights,
-                updated,
-                feats,
-                masks,
-                batch.fake_query_idx,
-                state.class_ids,
-                cfg.alpha,
-            )
-        else:
-            lut = _label_lut(state.class_ids)
-            flat = [
-                T.reshape(T.l2_normalize(f), (f.shape[0] * f.shape[1], f.shape[2]))
-                for f in feats
-            ]
-            loss = _batch_ce(flat, masks, range(len(feats)), state.weights, lut, cfg.alpha)
-            info = {"l_cls": float(loss.data), "l_update": float(loss.data)}
+        loss, info = dual_loss(
+            state.weights,
+            updated,
+            feats,
+            masks,
+            batch.fake_query_idx,
+            state.class_ids,
+            cfg.alpha,
+        )
     if not np.isfinite(loss.data).all():
         raise NumericalError(f"non-finite loss at step {state.step}")
     backward(tape, loss)

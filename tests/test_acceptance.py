@@ -219,12 +219,8 @@ def test_criterion_3_degeneracy(grid):
         keep = sample.mask == sample.novel_class
         sample.mask = np.where(keep, sample.mask, IGNORE_LABEL)
 
-    enriched_path = register_novel_classes(
-        model.classifier, None, model.backbone, supports, fixed_gamma=1.0, enrich=True
-    )
-    baseline_path = register_novel_classes(
-        model.classifier, None, model.backbone, supports, enrich=False
-    )
+    enriched_path = register_novel_classes(model.classifier, 1.0, model.backbone, supports)
+    baseline_path = register_novel_classes(model.classifier, None, model.backbone, supports)
     identical = True
     for entry in manifest.test[:40]:
         image, _ = load_pair(manifest, entry)

@@ -150,6 +150,24 @@ def _save_with_train_state(path: str, saved) -> None:
     save_checkpoint(path, model)
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("variant", ["capl"]),
+        ("converged_gamma", "0.5"),
+        ("converged_gamma", 7.0),
+        ("amp_gamma", None),
+    ],
+)
+def test_bad_variant_meta_is_format_error(tmp_path, key, value):
+    model = _model()
+    model.meta[key] = value  # written after, so in place of, the model's own field
+    path = str(tmp_path / "m.ckpt")
+    save_checkpoint(path, model)
+    with pytest.raises(FormatError, match=key):
+        load_checkpoint(path)
+
+
 def test_train_state_meta_round_trips(tmp_path):
     path = str(tmp_path / "s.ckpt")
     _save_with_train_state(path, _train_state_meta())

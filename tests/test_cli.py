@@ -4,11 +4,12 @@ import hashlib
 import json
 import os
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from protoseg.checkpoint import load_checkpoint
+from protoseg.checkpoint import load_checkpoint, save_checkpoint
 from protoseg.cli import main
 from protoseg.netpbm import read_pgm
 from protoseg.scenes import load_manifest
@@ -306,9 +307,37 @@ def test_ablate_single_variant(workspace, tmp_path):
     assert len(lines) == 2
 
 
+def test_ablate_cache_under_a_file_exits_3(workspace, tmp_path):
+    code = main(
+        ["ablate", "--config", workspace["train_cfg"], "--data", workspace["manifest"],
+         "--variants", "baseline", "--shots-list", "1", "--seeds", "123",
+         "--cache", os.path.join(workspace["ckpt"], "sub"), "--out", str(tmp_path / "ab.csv")]
+    )
+    assert code == 3
+    assert not os.path.exists(tmp_path / "ab.csv")
+
+
 def test_gradcheck_passes_and_corruption_fails():
     assert main(["gradcheck", "--trials", "2"]) == 0
     assert main(["gradcheck", "--trials", "2", "--corrupt-op", "sigmoid"]) == 1
+
+
+def test_gradcheck_unknown_op_exits_2():
+    assert main(["gradcheck", "--trials", "1", "--corrupt-op", "fft"]) == 2
+
+
+@pytest.mark.parametrize("command", ["register", "eval"])
+def test_out_of_range_gamma_on_a_fixed_gamma_variant_exits_2(workspace, tmp_path, command):
+    fixed = str(tmp_path / "convg.ckpt")
+    save_checkpoint(fixed, replace(load_checkpoint(workspace["ckpt"]), variant_kind="convg_gamma"))
+    out = str(tmp_path / "out")
+    flag = "--out" if command == "register" else "--report"
+    code = main(
+        [command, "--model", fixed, "--data", workspace["manifest"], "--shots", "1",
+         "--gamma", "1.5", flag, out]
+    )
+    assert code == 2
+    assert not os.path.exists(out)
 
 
 def test_train_numeric_blowup_exits_4(workspace, tmp_path):

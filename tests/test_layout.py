@@ -13,3 +13,7 @@ def test_one_atomic_writer_and_no_thread_pool():
     text = _source()
     assert text.count("os.replace(") == 1
     assert "concurrent.futures" not in text
+
+
+def test_one_json_file_reader():
+    assert _source().count("json.load(") == 1

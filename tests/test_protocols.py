@@ -116,6 +116,15 @@ def test_fs_protocol_validates_arguments(world):
         run_fs_protocol(models["capl"], manifest, k=999, episodes=1)
 
 
+def test_fs_and_support_sampling_reject_a_short_pool_alike(world):
+    manifest, models = world
+    with pytest.raises(DataError) as fs:
+        run_fs_protocol(models["capl"], manifest, k=999, episodes=1)
+    with pytest.raises(DataError) as draw:
+        sample_support_set(manifest, 999, seed=0)
+    assert str(fs.value) == str(draw.value)
+
+
 def test_ablation_single_variant_rows(world, tmp_path):
     manifest, _ = world
     rows = run_ablation(

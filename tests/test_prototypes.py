@@ -342,7 +342,7 @@ def test_register_seven_class_two_shot_scenario():
 def test_register_gamma_one_keeps_base_rows():
     clf, backbone, net = _toy_world()
     supports = SupportSet([_support_scene(9, [1, 2], seed=8)])
-    out = register_novel_classes(clf, None, backbone, supports, fixed_gamma=1.0)
+    out = register_novel_classes(clf, 1.0, backbone, supports)
     for cid in clf.class_ids:
         assert np.array_equal(out.row(cid), clf.row(cid))
 

@@ -164,7 +164,7 @@ def test_updated_classifier_fake_context_midpoint_with_zero_net():
 def test_updated_classifier_without_context_branch():
     weights, feats, masks, net = _support_world()
     updated, gammas = build_updated_classifier(
-        weights, (0, 1, 2), None, feats, masks, FakeSplit((1,), (2,)), use_context_fusion=False
+        weights, (0, 1, 2), None, feats, masks, FakeSplit((1,), ())
     )
     assert gammas == []
     np.testing.assert_array_equal(updated.data[2], weights.data[2])
@@ -407,11 +407,11 @@ def test_gamma_history_recorded_only_for_context_variants():
 
 def test_make_variant_table():
     assert make_variant("baseline").train_fake_novel is False
-    assert make_variant("baseline").infer_enrich is False
+    assert make_variant("baseline").gamma_mode == "none"
     tr = make_variant("capl_tr")
-    assert tr.train_fake_novel and not tr.train_fake_context and not tr.infer_enrich
+    assert tr.train_fake_novel and not tr.train_fake_context and tr.gamma_mode == "none"
     te = make_variant("capl_te")
-    assert not te.train_fake_novel and te.infer_enrich and te.gamma_mode == "converged"
+    assert not te.train_fake_novel and te.gamma_mode == "converged"
     full = make_variant("capl")
     assert full.train_fake_novel and full.train_fake_context and full.gamma_mode == "adaptive"
     assert make_variant("amp_gamma").gamma_mode == "amp"

@@ -34,7 +34,7 @@ class BackboneParams:
         return named
 
 
-def init_backbone(c: int, layers: int, seed, trainable: bool = True) -> BackboneParams:
+def init_backbone(c: int, layers: int, seed) -> BackboneParams:
     """Deterministic variance-preserving uniform init, zero biases.
 
     ReLU layers use gain 6 (He), the linear last layer gain 3, i.e. bounds
@@ -55,9 +55,7 @@ def init_backbone(c: int, layers: int, seed, trainable: bool = True) -> Backbone
         s = np.sqrt(gain / fan_in)
         kernel = rng.uniform(-s, s, (KERNEL_SIZE, KERNEL_SIZE, c_in, c))
         bias = np.zeros(c)
-        params.layers.append(
-            (Tensor(kernel, requires_grad=trainable), Tensor(bias, requires_grad=trainable))
-        )
+        params.layers.append((Tensor(kernel, requires_grad=True), Tensor(bias, requires_grad=True)))
         c_in = c
     return params
 

@@ -27,7 +27,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .backbone import BackboneParams
+from .backbone import IN_CHANNELS, BackboneParams
 from .errors import FormatError, IoError, ProtosegError
 from .model import EvalModel, from_train_state
 from .netpbm import atomic_write
@@ -188,15 +188,31 @@ def _read_all(path: str) -> dict:
 
 
 def _params_from(doc: dict, trainable: bool) -> tuple[BackboneParams, Tensor, GammaNet | None]:
-    """The backbone, classifier weights and gate stored in a parsed checkpoint."""
-    path = doc["path"]
+    """The backbone, classifier weights and gate stored in a parsed checkpoint,
+    checked to fit together: a chain of square odd kernels from the image's
+    channels to ``embed_dim``, and a classifier and gate of that width."""
+    path, c = doc["path"], doc["embed_dim"]
     named = {n: Tensor(arr, requires_grad=trainable) for n, arr in doc["tensors"].items()}
     try:
-        backbone, weights, gammanet = parameters_from_named(named, doc["embed_dim"])
+        backbone, weights, gammanet = parameters_from_named(named, c)
     except KeyError as exc:
         raise FormatError(f"{path}: missing tensor {exc}") from exc
+    cin = IN_CHANNELS
+    for i, (kernel, bias) in enumerate(backbone.layers):
+        k = kernel.shape[0] if kernel.shape else 0
+        if kernel.shape != (k, k, cin, c) or k % 2 == 0 or bias.shape != (c,):
+            raise FormatError(
+                f"{path}: backbone layer {i} has kernel {kernel.shape} and bias {bias.shape}, "
+                f"expected an odd square kernel from {cin} to {c} channels"
+            )
+        cin = c
     if weights.data.ndim != 2 or weights.shape[0] != len(doc["class_ids"]):
         raise FormatError(f"{path}: classifier rows disagree with class table")
+    if weights.shape[1] != c:
+        raise FormatError(f"{path}: classifier width {weights.shape[1]} != embed_dim {c}")
+    gate_shapes = [(2 * c, c), (c,), (c, 1), (1,)]
+    if gammanet is not None and [t.shape for _, t in gammanet.tensors()] != gate_shapes:
+        raise FormatError(f"{path}: gate tensors do not have the shapes {gate_shapes}")
     return backbone, weights, gammanet
 
 
@@ -293,6 +309,12 @@ def load_train_state(path: str):
     except (ProtosegError, TypeError, ValueError, KeyError, OverflowError) as exc:
         raise FormatError(f"{path}: bad training state: {exc}") from exc
     backbone, weights, gammanet = _params_from(doc, trainable=True)
+    if ROLE_NOVEL in doc["roles"].values():
+        raise FormatError(f"{path}: a registered checkpoint cannot resume training")
+    velocities = {n[len("opt.") :]: a for n, a in doc["tensors"].items() if n.startswith("opt.")}
+    params = named_parameters(backbone, weights, gammanet) if saved["step"] > 0 else []
+    if {n: v.shape for n, v in velocities.items()} != {n: t.shape for n, t in params}:
+        raise FormatError(f"{path}: momentum buffers do not match the parameters at this step")
 
     return TrainState(
         config=config,
@@ -305,10 +327,6 @@ def load_train_state(path: str):
         rng_batches=rng_batches,
         rng_steps=rng_steps,
         step=saved["step"],
-        velocities={
-            name[len("opt.") :]: arr
-            for name, arr in doc["tensors"].items()
-            if name.startswith("opt.")
-        },
+        velocities=velocities,
         gamma_steps=gamma_steps,
     )

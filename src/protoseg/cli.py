@@ -15,8 +15,6 @@ import os
 import struct
 import sys
 
-import numpy as np
-
 from . import gradcheck
 from .backbone import extract_features
 from .checkpoint import load_checkpoint, save_checkpoint
@@ -43,6 +41,7 @@ from .protocols import (
     run_fs_protocol,
     run_gfs_protocol,
     report_to_json,
+    with_fixed_gamma,
     write_ablation_csv,
 )
 from .scenes import NUM_SPLITS, SceneConfig, build_dataset, load_manifest, sample_support_set
@@ -83,8 +82,6 @@ def _section(doc: dict, name: str, cls):
     if unknown:
         raise ConfigError(f"unknown keys in config section {name!r}: {sorted(unknown)}")
     kwargs = {k: v for k, v in raw.items() if k != "_comment"}
-    if cls is SceneConfig and "cooc" in kwargs:
-        raise ConfigError("co-occurrence rules are derived per split; do not set them directly")
     try:
         return cls(**kwargs)
     except TypeError as exc:
@@ -157,9 +154,9 @@ def cmd_register(args) -> int:
     model = load_checkpoint(args.model)
     manifest = load_manifest(args.data)
     if args.gamma is not None:
-        model.converged_gamma = args.gamma
+        model = with_fixed_gamma(model, args.gamma)
     supports = sample_support_set(manifest, args.shots, args.seed)
-    clf = register_for_variant(model, supports, args.min_pixels)
+    clf = register_for_variant(model, supports)
     names = dict(model.class_names)
     for cid in clf.ids_with_role("novel"):
         names.setdefault(cid, f"class{cid}")
@@ -191,10 +188,10 @@ def cmd_eval(args) -> int:
     model = load_checkpoint(args.model)
     manifest = load_manifest(args.data)
     if args.gamma is not None:
-        model.converged_gamma = args.gamma
+        model = with_fixed_gamma(model, args.gamma)
     seeds = _parse_seeds(args.seeds)
     if args.protocol == "gfs":
-        report = run_gfs_protocol(model, manifest, args.shots, seeds, args.min_pixels)
+        report = run_gfs_protocol(model, manifest, args.shots, seeds)
         payload = report_to_json(
             report,
             {
@@ -295,8 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shots", type=int, required=True)
     p.add_argument("--seed", type=int, default=DEFAULT_SEEDS[0])
     p.add_argument("--out", required=True)
-    p.add_argument("--gamma", type=float, help="override the fixed fusion weight")
-    p.add_argument("--min-pixels", type=int, default=1)
+    p.add_argument("--gamma", type=float, help="fixed gate of capl_te, convg_gamma or amp_gamma")
     p.add_argument("--f32", action="store_true")
     p.set_defaults(fn=cmd_register)
 
@@ -314,8 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shots", type=int, help="omit for a base-only gfs pass")
     p.add_argument("--seeds", help="comma-separated support-sampling seeds")
     p.add_argument("--episodes", type=int, default=DEFAULT_FS_EPISODES)
-    p.add_argument("--gamma", type=float, help="fixed fusion weight override")
-    p.add_argument("--min-pixels", type=int, default=1)
+    p.add_argument("--gamma", type=float, help="fixed gate of capl_te, convg_gamma or amp_gamma")
     p.add_argument("--report", required=True, help="output report.json")
     p.set_defaults(fn=cmd_eval)
 

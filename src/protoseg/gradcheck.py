@@ -2,7 +2,7 @@
 
 Each op gets randomized scalar-valued probes checked against central
 differences; the end-to-end probe differentiates the full rehearsal loss on a
-small fixed batch with respect to every trainable tensor. ``corrupt_kind``
+small fixed batch with respect to every trainable tensor. ``corrupted_op``
 deliberately breaks one op's forward/backward consistency so the audit's
 fail path can be exercised.
 """
@@ -25,16 +25,16 @@ DEFAULT_TRIALS = 5
 
 
 @contextmanager
-def corrupted_op(kind: str, relative_error: float = 1e-3):
-    """Scale an op's forward output after it is recorded, leaving its pullback
-    stale; any gradient check through it must then fail."""
+def corrupted_op(kind: str):
+    """Scale an op's forward output by 1 + 1e-3 after it is recorded, leaving
+    its pullback stale; any gradient check through it must then fail."""
     if kind not in T._OPS:
         raise UnsupportedOp(f"unknown op kind {kind!r}")
     original = T._OPS[kind]
 
     def broken(*args, **kwargs):
         out = original(*args, **kwargs)
-        out.data = out.data * (1.0 + relative_error)
+        out.data = out.data * (1.0 + 1e-3)
         return out
 
     T._OPS[kind] = broken

@@ -40,19 +40,29 @@ DEFAULT_SEEDS = (123, 321, 456, 654, 999)
 DEFAULT_FS_EPISODES = 500
 
 
-def register_for_variant(
-    model: EvalModel, supports: SupportSet, min_pixels: int = 1
-):
+# the EvalModel field that holds each gamma mode's gate
+GATE_FIELDS = {"adaptive": "gammanet", "converged": "converged_gamma", "amp": "amp_gamma"}
+
+
+def register_for_variant(model: EvalModel, supports: SupportSet):
     """Apply the model's variant policy to build the evaluation classifier."""
     mode = make_variant(model.variant_kind).gamma_mode
-    gates = {"adaptive": model.gammanet, "converged": model.converged_gamma, "amp": model.amp_gamma}
-    gate = gates.get(mode)
+    gate = getattr(model, GATE_FIELDS[mode]) if mode in GATE_FIELDS else None
     if gate is None and mode != "none":
         raise ConfigError(
             f"variant {model.variant_kind} has no {mode} gate (train the full adaptive "
             "variant first or supply a fixed gamma explicitly)"
         )
-    return register_novel_classes(model.classifier, gate, model.backbone, supports, min_pixels)
+    return register_novel_classes(model.classifier, gate, model.backbone, supports)
+
+
+def with_fixed_gamma(model: EvalModel, gamma: float) -> EvalModel:
+    """The model with ``gamma`` as the fixed gate its variant registers with;
+    a ``ConfigError`` for a variant with an adaptive gate or none."""
+    mode = make_variant(model.variant_kind).gamma_mode
+    if mode not in ("converged", "amp"):
+        raise ConfigError(f"variant {model.variant_kind} takes no fixed gamma (gamma mode {mode})")
+    return replace(model, **{GATE_FIELDS[mode]: gamma})
 
 
 def run_gfs_protocol(
@@ -60,7 +70,6 @@ def run_gfs_protocol(
     manifest: DatasetManifest,
     k: int | None,
     seeds=DEFAULT_SEEDS,
-    min_pixels: int = 1,
 ) -> MetricsReport:
     """Register novel classes per seed, score every test image, average seeds.
 
@@ -87,7 +96,7 @@ def run_gfs_protocol(
     for seed in seeds:
         try:
             supports = sample_support_set(manifest, k, seed)
-            clf = register_for_variant(model, supports, min_pixels)
+            clf = register_for_variant(model, supports)
             cm = ConfusionMatrix(clf.class_ids)
             for feat, truth in zip(feats, truths):
                 pred, _ = classify(clf, feat)
@@ -253,7 +262,7 @@ def run_ablation(
     for kind in variant_kinds:
         model = model_for_variant(kind, manifest, config, cache_dir)
         for k in shots_list:
-            report = run_gfs_protocol(model, manifest, k, seeds, config.min_pixels)
+            report = run_gfs_protocol(model, manifest, k, seeds)
             for sm in report.per_seed:
                 rows.append(
                     {

@@ -17,13 +17,12 @@ import numpy as np
 from . import tensor as T
 from .backbone import BackboneParams, extract_features
 from .errors import ConfigError, EmptyMaskError, RangeError, ShapeError
-from .tensor import IGNORE_LABEL, Tensor
+from .tensor import Tensor
 
 ROLE_BASE = "base"
 ROLE_NOVEL = "novel"
 BACKGROUND = 0
 DEFAULT_ALPHA = 10.0
-MIN_PIXELS_DEFAULT = 1
 
 
 @dataclass(frozen=True)
@@ -148,17 +147,17 @@ def parameters_from_named(
     return BackboneParams(layers, embed_dim), named["classifier.weights"], gammanet
 
 
-def init_gamma_net(c: int, seed: int, trainable: bool = True) -> GammaNet:
+def init_gamma_net(c: int, seed: int) -> GammaNet:
     if c < 2:
         raise ConfigError(f"embed_dim must be >= 2, got {c}")
     rng = np.random.default_rng(seed)
     s1 = np.sqrt(1.0 / (2 * c))
     s2 = np.sqrt(1.0 / c)
     return GammaNet(
-        w1=Tensor(rng.uniform(-s1, s1, (2 * c, c)), requires_grad=trainable),
-        b1=Tensor(np.zeros(c), requires_grad=trainable),
-        w2=Tensor(rng.uniform(-s2, s2, (c, 1)), requires_grad=trainable),
-        b2=Tensor(np.zeros(1), requires_grad=trainable),
+        w1=Tensor(rng.uniform(-s1, s1, (2 * c, c)), requires_grad=True),
+        b1=Tensor(np.zeros(c), requires_grad=True),
+        w2=Tensor(rng.uniform(-s2, s2, (c, 1)), requires_grad=True),
+        b2=Tensor(np.zeros(1), requires_grad=True),
     )
 
 
@@ -271,15 +270,14 @@ def register_novel_classes(
     gate: GammaNet | float | None,
     backbone: BackboneParams,
     supports: SupportSet,
-    min_pixels: int = MIN_PIXELS_DEFAULT,
 ) -> Classifier:
     """Build a new classifier with novel rows imprinted and base rows enriched.
 
     Each declared novel class gets the shot-averaged pooled prototype. Each
-    base class covering at least ``min_pixels`` support pixels is replaced by
-    the fusion of its trained row with the accumulated context prototype,
-    weighted by ``gate``: a gate network's output, or a fixed gamma in
-    [0, 1]. Every other base row is carried over bitwise, and with no gate
+    base class with at least one support pixel is replaced by the fusion of
+    its trained row with the accumulated context prototype, weighted by
+    ``gate``: a gate network's output, or a fixed gamma in [0, 1]. Every
+    other base row is carried over bitwise, and with no gate
     (``None``, imprint-only registration) every base row is. The input
     classifier is never mutated.
     """
@@ -313,7 +311,7 @@ def register_novel_classes(
             if classifier.roles[cid] != ROLE_BASE:
                 continue
             p_feat, count = accumulate_context_prototype(supports, features, cid)
-            if count < max(min_pixels, 1):
+            if count == 0:
                 continue
             p_cls = Tensor(classifier.weights[idx])
             gamma = gamma_forward(gate, p_cls, p_feat) if adaptive else gate

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,12 +29,6 @@ from .tensor import IGNORE_LABEL, Tensor
 NUM_SPLITS = 4
 MIN_SHAPE_PIXELS = 16
 MAX_ATTEMPTS = 64
-
-
-@dataclass(frozen=True)
-class CoocRule:
-    partner: int
-    prob: float
 
 
 @dataclass(frozen=True)
@@ -53,8 +47,6 @@ class SceneConfig:
     support_per_class: int = 40
     test_scenes: int = 200
     seed: int = 0
-    # resolved per split by build_dataset: novel id -> CoocRule
-    cooc: dict[int, CoocRule] = field(default_factory=dict)
 
     def __post_init__(self):
         if self.num_foreground < NUM_SPLITS:
@@ -67,6 +59,10 @@ class SceneConfig:
             raise ConfigError("images must be at least 8x8")
         if self.shapes_min < 0 or self.shapes_max < self.shapes_min:
             raise ConfigError("bad shapes-per-image range")
+        for split in range(NUM_SPLITS):
+            for u in self.novel_ids(split):
+                if self.partner_of(u) in self.novel_ids(split):
+                    raise ConfigError(f"partner {self.partner_of(u)} of class {u} is novel too")
 
     @property
     def novel_per_split(self) -> int:
@@ -86,18 +82,6 @@ class SceneConfig:
 
     def partner_of(self, class_id: int) -> int:
         return ((class_id - 1 + self.cooc_partner_offset) % self.num_foreground) + 1
-
-    def resolved_for_split(self, split_index: int) -> "SceneConfig":
-        rules = {
-            u: CoocRule(self.partner_of(u), self.cooc_prob)
-            for u in self.novel_ids(split_index)
-        }
-        for u, rule in rules.items():
-            if rule.partner in rules:
-                raise ConfigError(
-                    f"partner {rule.partner} of novel class {u} is novel in the same split"
-                )
-        return replace(self, cooc=rules)
 
 
 def hsv_to_rgb(h: float, s: float, v: float) -> np.ndarray:
@@ -168,18 +152,20 @@ def _ignore_band(labels: np.ndarray) -> np.ndarray:
 
 def generate_scene(
     config: SceneConfig,
+    novel_ids,
     allowed_classes,
     rng: np.random.Generator,
     require_visible=(),
 ) -> tuple[Tensor, np.ndarray]:
     """Render one scene; the mask matches the rendered geometry exactly.
 
-    Co-occurrence rules fire for any present class with an entry in
-    ``config.cooc`` whose partner is allowed: on success the partner must be
-    visible (and is tinted toward the novel color); otherwise the partner is
-    kept out of the scene entirely, so the empirical co-occurrence rate
-    equals the configured probability.
+    Each present novel class whose partner (``config.partner_of``) is allowed
+    co-occurs with it at ``config.cooc_prob``: on success the partner must be
+    visible (and is tinted toward the background shade); otherwise the
+    partner is kept out of the scene entirely, so the empirical co-occurrence
+    rate equals the configured probability.
     """
+    novel = set(int(u) for u in novel_ids)
     allowed = set(int(a) for a in allowed_classes)
     if not allowed:
         raise ConfigError("allowed_classes must not be empty")
@@ -200,33 +186,33 @@ def generate_scene(
         required = set(base_require)
         tinted: dict[int, int] = {}  # partner -> novel it co-occurs with
         forbidden: set[int] = set()
-        for u in sorted(set(classes) & set(config.cooc)):
-            rule = config.cooc[u]
-            if rule.partner not in allowed:
+        for u in sorted(set(classes) & novel):
+            partner = config.partner_of(u)
+            if partner not in allowed:
                 continue
             required.add(u)
-            if rng.random() < rule.prob:
-                required.add(rule.partner)
-                tinted[rule.partner] = u
-                if rule.partner not in classes:
+            if rng.random() < config.cooc_prob:
+                required.add(partner)
+                tinted[partner] = u
+                if partner not in classes:
                     # reuse a free slot to stay within the shapes-per-image
-                    # range; never displace a required or rule-bearing class
+                    # range; never displace a required or novel class
                     slot = next(
                         (
                             j
                             for j, c in enumerate(classes)
-                            if c not in required and c not in config.cooc
+                            if c not in required and c not in novel
                         ),
                         None,
                     )
                     if slot is None:
-                        classes.append(rule.partner)
+                        classes.append(partner)
                     else:
-                        classes[slot] = rule.partner
+                        classes[slot] = partner
             else:
-                forbidden.add(rule.partner)
+                forbidden.add(partner)
         if forbidden:
-            safe = [c for c in candidates if c not in forbidden and c not in config.cooc]
+            safe = [c for c in candidates if c not in forbidden and c not in novel]
             safe = safe or [c for c in candidates if c not in forbidden]
             classes = [
                 int(rng.choice(safe)) if c in forbidden else c for c in classes
@@ -331,16 +317,14 @@ class DatasetManifest:
         }
 
 
-def _scene_rng(seed: int, split: int, partition: int, *extra) -> np.random.Generator:
-    return np.random.default_rng((seed, split, partition, *extra))
-
-
 def build_dataset(config: SceneConfig, split_index: int, out_dir: str) -> DatasetManifest:
     """Write train/support/test scenes plus manifest.json for one split."""
-    cfg = config.resolved_for_split(split_index)
-    novel = cfg.novel_ids(split_index)
-    base = cfg.base_ids(split_index)
+    novel = config.novel_ids(split_index)
+    base = config.base_ids(split_index)
     make_dirs(out_dir)
+
+    def scene_rng(partition: int, *index) -> np.random.Generator:
+        return np.random.default_rng((config.seed, split_index, partition, *index))
 
     def emit(name: str, image: Tensor, mask: np.ndarray) -> tuple[str, str]:
         write_ppm(os.path.join(out_dir, f"{name}.ppm"), image.data)
@@ -349,8 +333,8 @@ def build_dataset(config: SceneConfig, split_index: int, out_dir: str) -> Datase
 
     train_entries = []
     allowed_train = set(base)
-    for i in range(cfg.train_scenes):
-        image, mask = generate_scene(cfg, allowed_train, _scene_rng(cfg.seed, split_index, 0, i))
+    for i in range(config.train_scenes):
+        image, mask = generate_scene(config, novel, allowed_train, scene_rng(0, i))
         novel_px = np.isin(mask, novel).sum()
         if novel_px:
             raise GenerationError("novel class leaked into a train scene")
@@ -360,30 +344,27 @@ def build_dataset(config: SceneConfig, split_index: int, out_dir: str) -> Datase
     allowed_all = set(base) | set(novel)
     for u in novel:
         allowed_u = set(base) | {u}
-        for i in range(cfg.support_per_class):
+        for i in range(config.support_per_class):
             image, mask = generate_scene(
-                cfg,
-                allowed_u,
-                _scene_rng(cfg.seed, split_index, 1, u, i),
-                require_visible={u},
+                config, novel, allowed_u, scene_rng(1, u, i), require_visible={u}
             )
             img_path, mask_path = emit(f"support_{u:02d}_{i:04d}", image, mask)
             support_entries.append(PairEntry(img_path, mask_path, novel_id=u))
 
     test_entries = []
-    for i in range(cfg.test_scenes):
-        image, mask = generate_scene(cfg, allowed_all, _scene_rng(cfg.seed, split_index, 2, i))
+    for i in range(config.test_scenes):
+        image, mask = generate_scene(config, novel, allowed_all, scene_rng(2, i))
         test_entries.append(PairEntry(*emit(f"test_{i:04d}", image, mask)))
 
     classes = [{"id": 0, "name": "background", "role": ROLE_BASE}]
-    for c in range(1, cfg.num_foreground + 1):
+    for c in range(1, config.num_foreground + 1):
         role = ROLE_NOVEL if c in novel else ROLE_BASE
         classes.append({"id": c, "name": f"class{c}", "role": role})
 
     manifest = DatasetManifest(
         classes=classes,
         split_index=split_index,
-        seed=cfg.seed,
+        seed=config.seed,
         train=train_entries,
         support_pool=support_entries,
         test=test_entries,
@@ -419,6 +400,8 @@ def load_manifest(path: str) -> DatasetManifest:
 def load_pair(manifest: DatasetManifest, entry: PairEntry) -> tuple[Tensor, np.ndarray]:
     image = read_ppm(os.path.join(manifest.base_dir, entry.image))
     mask = read_pgm(os.path.join(manifest.base_dir, entry.mask))
+    if mask.shape != image.shape[:2]:
+        raise DataError(f"mask {entry.mask} is {mask.shape} but its image is {image.shape[:2]}")
     return Tensor(image), mask
 
 

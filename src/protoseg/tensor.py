@@ -15,7 +15,6 @@ that needs no gradient, such as the image.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -77,11 +76,7 @@ class TapeRecord:
     backward: Callable[[np.ndarray], list[tuple[Tensor, np.ndarray]]]
 
 
-_tls = threading.local()
-
-
-def _active_tape() -> "Tape | None":
-    return getattr(_tls, "tape", None)
+_active_tape: "Tape | None" = None
 
 
 class Tape:
@@ -91,21 +86,22 @@ class Tape:
         self.records: list[TapeRecord] = []
 
     def __enter__(self) -> "Tape":
-        if _active_tape() is not None:
+        global _active_tape
+        if _active_tape is not None:
             raise ConfigError("nested tapes are not supported")
-        _tls.tape = self
+        _active_tape = self
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        _tls.tape = None
+        global _active_tape
+        _active_tape = None
 
 
 def _record(kind, inputs, out, backward) -> Tensor:
-    tape = _active_tape()
     tensor_inputs = tuple(t for t in inputs if isinstance(t, Tensor))
-    if tape is not None and any(t.requires_grad for t in tensor_inputs):
+    if _active_tape is not None and any(t.requires_grad for t in tensor_inputs):
         out.requires_grad = True
-        tape.records.append(TapeRecord(kind, tensor_inputs, out, backward))
+        _active_tape.records.append(TapeRecord(kind, tensor_inputs, out, backward))
     return out
 
 
@@ -381,41 +377,34 @@ def masked_sum(features: Tensor, mask: np.ndarray) -> Tensor:
     return _record("masked_sum", (features,), out, back)
 
 
-def l2_normalize(a: Tensor, eps: float = 1e-8) -> Tensor:
-    """Normalize the last axis to unit length; norms <= eps map to zero vectors."""
+def l2_normalize(a: Tensor) -> Tensor:
+    """Normalize the last axis to unit length; norms <= 1e-8 map to zero vectors."""
     norms = np.sqrt(np.sum(a.data * a.data, axis=-1, keepdims=True))
-    safe = np.where(norms > eps, norms, 1.0)
-    y = np.where(norms > eps, a.data / safe, 0.0)
+    safe = np.where(norms > 1e-8, norms, 1.0)
+    y = np.where(norms > 1e-8, a.data / safe, 0.0)
     out = Tensor(y)
 
     def back(g):
         dots = np.sum(y * g, axis=-1, keepdims=True)
-        da = np.where(norms > eps, (g - y * dots) / safe, 0.0)
+        da = np.where(norms > 1e-8, (g - y * dots) / safe, 0.0)
         return [(a, da)]
 
     return _record("l2_normalize", (a,), out, back)
 
 
-def softmax_cross_entropy(
-    logits: Tensor,
-    labels: np.ndarray,
-    ignore_label: int = IGNORE_LABEL,
-    reduction: str = "mean",
-) -> Tensor:
+def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     """Per-pixel softmax cross entropy against integer labels.
 
     ``logits`` is (..., n_classes); labels the matching integer array with
-    ``ignore_label`` marking pixels excluded from the loss. Reduction is the
-    mean (or sum) over non-ignored pixels.
+    ``IGNORE_LABEL`` marking pixels excluded from the loss. The result is the
+    mean over non-ignored pixels.
     """
-    if reduction not in ("mean", "sum"):
-        raise ConfigError(f"unknown reduction {reduction!r}")
     n_classes = logits.shape[-1]
     z = logits.data.reshape(-1, n_classes)
     y = np.asarray(labels).reshape(-1)
     if y.shape[0] != z.shape[0]:
         raise ShapeError(f"labels {np.asarray(labels).shape} vs logits {logits.shape}")
-    valid = y != ignore_label
+    valid = y != IGNORE_LABEL
     count = int(valid.sum())
     if count == 0:
         raise DegenerateBatchError("every pixel is ignored")
@@ -429,10 +418,10 @@ def softmax_cross_entropy(
     lse = (np.log(ez_sum) + zmax)[:, 0]
     nll = lse - zv[np.arange(count), yv]
     total = nll.sum()
-    out = Tensor(total / count if reduction == "mean" else total)
+    out = Tensor(total / count)
 
     def back(g):
-        gs = float(g) / count if reduction == "mean" else float(g)
+        gs = float(g) / count
         probs = ez / ez_sum
         probs[np.arange(count), yv] -= 1.0
         dz = np.zeros_like(z)

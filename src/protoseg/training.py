@@ -50,7 +50,6 @@ class TrainConfig:
     embed_dim: int = 32
     alpha: float = 10.0
     backbone_layers: int = 3
-    min_pixels: int = 1
     amp_gamma: float = DEFAULT_AMP_GAMMA
     weight_decay: float = 1e-3
     clip_grad_norm: float = 1.0  # 0 disables clipping

@@ -10,15 +10,16 @@ from protoseg.backbone import init_backbone
 from protoseg.checkpoint import load_checkpoint, load_train_state, save_checkpoint
 from protoseg.errors import FormatError, IoError
 from protoseg.model import EvalModel
-from protoseg.prototypes import init_gamma_net, make_classifier
+from protoseg.prototypes import init_gamma_net, make_classifier, named_parameters
+from protoseg.tensor import Tensor
 
 
-def _model(with_gamma=True, seed=0):
+def _model(with_gamma=True, seed=0, role_of_5="novel"):
     rng = np.random.default_rng(seed)
     clf = make_classifier(
         [0, 2, 5],
         rng.uniform(-1, 1, (3, 6)),
-        {0: "base", 2: "base", 5: "novel"},
+        {0: "base", 2: "base", 5: role_of_5},
         alpha=10.0,
     )
     return EvalModel(
@@ -144,10 +145,18 @@ def _train_state_meta() -> dict:
     }
 
 
-def _save_with_train_state(path: str, saved) -> None:
-    model = _model()
+def _named(model):
+    return named_parameters(model.backbone, Tensor(model.classifier.weights), model.gammanet)
+
+
+def _save_with_train_state(path: str, saved, role_of_5="base", momentum=None) -> None:
+    """A snapshot of a base-only model with one zero momentum buffer per
+    parameter, or the given (name, array) buffers."""
+    model = _model(role_of_5=role_of_5)
     model.meta["train_state"] = saved
-    save_checkpoint(path, model)
+    if momentum is None:
+        momentum = [(f"opt.{n}", np.zeros(t.shape)) for n, t in _named(model)]
+    save_checkpoint(path, model, extra_tensors=momentum)
 
 
 @pytest.mark.parametrize(
@@ -207,6 +216,64 @@ def test_train_state_schema_violations_are_format_errors(tmp_path, key, value):
     _save_with_train_state(path, saved)
     with pytest.raises(FormatError):
         load_train_state(path)
+
+
+@pytest.mark.parametrize(
+    "step, role_of_5, momentum",
+    [
+        pytest.param(3, "novel", None, id="registered"),
+        pytest.param(3, "base", [], id="no_momentum"),
+        pytest.param(3, "base", [("opt.classifier.weights", np.zeros((3, 6)))], id="one_buffer"),
+        pytest.param(0, "base", [("opt.classifier.weights", np.zeros((3, 6)))], id="step_0_buffer"),
+        pytest.param(
+            3, "base", [(f"opt.{n}", np.zeros(2)) for n, _ in _named(_model())], id="buffer_shapes"
+        ),
+    ],
+)
+def test_train_state_that_cannot_resume_is_format_error(tmp_path, step, role_of_5, momentum):
+    path = str(tmp_path / "s.ckpt")
+    _save_with_train_state(path, {**_train_state_meta(), "step": step}, role_of_5, momentum)
+    with pytest.raises(FormatError):
+        load_train_state(path)
+
+
+def _replace_layer(i, kernel_shape, bias_shape=(6,)):
+    def mutate(model):
+        model.backbone.layers[i] = (Tensor(np.ones(kernel_shape)), Tensor(np.ones(bias_shape)))
+
+    return mutate
+
+
+def _narrow_classifier(model):
+    clf = model.classifier
+    model.classifier = make_classifier(clf.class_ids, clf.weights[:, :5], clf.roles)
+
+
+def _narrow_gate(model):
+    model.gammanet = init_gamma_net(3, seed=1)
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        pytest.param(_replace_layer(0, (2, 2, 3, 6)), id="even_kernel"),
+        pytest.param(_replace_layer(0, (3, 5, 3, 6)), id="non_square_kernel"),
+        pytest.param(_replace_layer(0, (3, 3, 4, 6)), id="first_kernel_not_from_rgb"),
+        pytest.param(_replace_layer(1, (3, 3, 5, 6)), id="broken_chain"),
+        pytest.param(_replace_layer(1, (3, 3, 6, 6), bias_shape=(5,)), id="bias_width"),
+        pytest.param(_replace_layer(1, (3, 3, 6, 5), bias_shape=(5,)), id="last_cout"),
+        pytest.param(_replace_layer(1, (3, 3)), id="flat_kernel"),
+        pytest.param(_narrow_classifier, id="classifier_narrower_than_backbone"),
+        pytest.param(_narrow_gate, id="gate_narrower_than_backbone"),
+    ],
+)
+def test_checkpoint_with_inconsistent_shapes_is_format_error(tmp_path, mutate):
+    model = _model()
+    mutate(model)
+    path = str(tmp_path / "m.ckpt")
+    save_checkpoint(path, model)
+    with pytest.raises(FormatError):
+        load_checkpoint(path)
 
 
 def test_train_state_without_a_gate_bias_is_format_error(tmp_path):

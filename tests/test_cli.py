@@ -326,17 +326,56 @@ def test_gradcheck_unknown_op_exits_2():
     assert main(["gradcheck", "--trials", "1", "--corrupt-op", "fft"]) == 2
 
 
-@pytest.mark.parametrize("command", ["register", "eval"])
-def test_out_of_range_gamma_on_a_fixed_gamma_variant_exits_2(workspace, tmp_path, command):
-    fixed = str(tmp_path / "convg.ckpt")
-    save_checkpoint(fixed, replace(load_checkpoint(workspace["ckpt"]), variant_kind="convg_gamma"))
-    out = str(tmp_path / "out")
+@pytest.mark.parametrize(
+    "command, variant, gamma",
+    [pytest.param(c, "convg_gamma", "1.5", id=c) for c in ("register", "eval")]
+    + [
+        pytest.param(c, v, "0.3", id=f"{c}-{v}")
+        for c in ("register", "eval")
+        for v in ("capl", "capl_tr", "baseline", "amp_gamma")
+    ],
+)
+def test_out_of_range_gamma_on_a_fixed_gamma_variant_exits_2(
+    workspace, tmp_path, command, variant, gamma
+):
+    fixed = str(tmp_path / "fixed.ckpt")
+    save_checkpoint(fixed, replace(load_checkpoint(workspace["ckpt"]), variant_kind=variant))
     flag = "--out" if command == "register" else "--report"
-    code = main(
-        [command, "--model", fixed, "--data", workspace["manifest"], "--shots", "1",
-         "--gamma", "1.5", flag, out]
-    )
+    args = [command, "--model", fixed, "--data", workspace["manifest"], "--shots", "1", flag]
+    out = str(tmp_path / "out")
+    code = main(args + [out, "--gamma", gamma])
+    if variant == "amp_gamma":  # the one in-range case: --gamma sets the amp gate
+        plain = str(tmp_path / "plain")
+        assert code == 0 and main(args + [plain]) == 0
+        if command == "register":
+            a, b = load_checkpoint(out), load_checkpoint(plain)
+            assert (a.amp_gamma, b.amp_gamma) == (0.3, 0.5)
+            assert not np.array_equal(a.classifier.weights, b.classifier.weights)
+        else:
+            assert sha(out) != sha(plain)
+        return
     assert code == 2
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("snapshot", ["registered", "without_momentum"])
+def test_resume_from_a_snapshot_that_cannot_continue_exits_3(workspace, tmp_path, snapshot):
+    from protoseg.checkpoint import load_train_state, save_train_state
+
+    part = str(tmp_path / "part.ckpt")
+    assert main(["train", "--config", workspace["train_cfg"], "--data", workspace["manifest"],
+                 "--variant", "capl", "--out", part, "--stop-after", "3"]) == 0
+    bad = str(tmp_path / "bad.ckpt")
+    if snapshot == "registered":
+        assert main(["register", "--model", part, "--data", workspace["manifest"],
+                     "--shots", "1", "--out", bad]) == 0
+    else:
+        state = load_train_state(part)
+        state.velocities.clear()
+        save_train_state(bad, state)
+    out = str(tmp_path / "out.ckpt")
+    code = main(["train", "--data", workspace["manifest"], "--resume", bad, "--out", out])
+    assert code == 3
     assert not os.path.exists(out)
 
 

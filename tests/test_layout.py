@@ -1,5 +1,6 @@
-"""Package-wide invariants that keep one implementation per concept."""
+"""Package-wide invariants: one implementation per concept, no unused imports."""
 
+import ast
 import pathlib
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "protoseg"
@@ -17,3 +18,21 @@ def test_one_atomic_writer_and_no_thread_pool():
 
 def test_one_json_file_reader():
     assert _source().count("json.load(") == 1
+
+
+def test_every_imported_name_is_used():
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        # a string equal to the name also counts: the entries of __all__
+        used |= {n.value for n in ast.walk(tree) if isinstance(n, ast.Constant)}
+        unused += [f"{path.name}:{line} {n}" for n, line in imported.items() if n not in used]
+    assert unused == []

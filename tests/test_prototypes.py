@@ -373,15 +373,13 @@ def test_register_rejects_all_empty_novel_masks():
         register_novel_classes(clf, net, backbone, SupportSet([sample]))
 
 
-def test_register_min_pixels_threshold():
+def test_register_enriches_a_base_class_with_one_support_pixel():
     clf, backbone, net = _toy_world()
     sample = _support_scene(9, [], seed=3)
     sample.mask[3, 0] = 1  # exactly one pixel of base class 1
     supports = SupportSet([sample])
-    enriched = register_novel_classes(clf, net, backbone, supports, min_pixels=1)
-    kept = register_novel_classes(clf, net, backbone, supports, min_pixels=2)
+    enriched = register_novel_classes(clf, net, backbone, supports)
     assert not np.array_equal(enriched.row(1), clf.row(1))
-    assert np.array_equal(kept.row(1), clf.row(1))
 
 
 # ---------------------------------------------------------------------------

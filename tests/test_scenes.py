@@ -10,6 +10,8 @@ import pytest
 from protoseg.errors import ConfigError, DataError, FormatError, GenerationError
 from protoseg.netpbm import read_pgm, read_ppm, write_pgm, write_ppm
 from protoseg.scenes import (
+    DatasetManifest,
+    PairEntry,
     SceneConfig,
     build_dataset,
     generate_scene,
@@ -89,22 +91,22 @@ def test_header_comments_accepted(tmp_path):
 
 
 def test_background_only_scene():
-    image, mask = generate_scene(SMALL, {0}, np.random.default_rng(3))
+    image, mask = generate_scene(SMALL, (), {0}, np.random.default_rng(3))
     assert np.array_equal(np.unique(mask), [0])
     assert image.shape == (32, 32, 3)
     assert (image.data >= 0).all() and (image.data <= 1).all()
 
 
 def test_generation_is_deterministic_per_stream():
-    a = generate_scene(SMALL, {0, 1, 2, 3}, np.random.default_rng(11))
-    b = generate_scene(SMALL, {0, 1, 2, 3}, np.random.default_rng(11))
+    a = generate_scene(SMALL, (), {0, 1, 2, 3}, np.random.default_rng(11))
+    b = generate_scene(SMALL, (), {0, 1, 2, 3}, np.random.default_rng(11))
     assert np.array_equal(a[0].data, b[0].data)
     assert np.array_equal(a[1], b[1])
 
 
 def test_masks_use_only_allowed_ids_and_ignore():
     for seed in range(12):
-        _, mask = generate_scene(SMALL, {0, 2, 5}, np.random.default_rng(seed))
+        _, mask = generate_scene(SMALL, (), {0, 2, 5}, np.random.default_rng(seed))
         present = set(np.unique(mask))
         assert present <= {0, 2, 5, IGNORE_LABEL}
 
@@ -112,7 +114,7 @@ def test_masks_use_only_allowed_ids_and_ignore():
 def test_ignore_band_separates_regions():
     found_band = False
     for seed in range(10):
-        _, mask = generate_scene(SMALL, {0, 1, 4}, np.random.default_rng(seed))
+        _, mask = generate_scene(SMALL, (), {0, 1, 4}, np.random.default_rng(seed))
         if (mask == IGNORE_LABEL).any():
             found_band = True
             break
@@ -121,17 +123,17 @@ def test_ignore_band_separates_regions():
 
 def test_required_class_not_allowed_raises():
     with pytest.raises(GenerationError):
-        generate_scene(SMALL, {0, 1}, np.random.default_rng(0), require_visible={5})
+        generate_scene(SMALL, (), {0, 1}, np.random.default_rng(0), require_visible={5})
 
 
 def test_cooc_prob_one_always_pairs():
-    cfg = replace(SMALL, cooc_prob=1.0).resolved_for_split(0)
+    cfg = replace(SMALL, cooc_prob=1.0)
     allowed = set(range(9))
     containing = 0
     paired = 0
-    partner = cfg.cooc[1].partner
+    partner = cfg.partner_of(1)
     for i in range(300):
-        _, mask = generate_scene(cfg, allowed, np.random.default_rng((5, i)))
+        _, mask = generate_scene(cfg, cfg.novel_ids(0), allowed, np.random.default_rng((5, i)))
         present = set(np.unique(mask))
         if 1 in present:
             containing += 1
@@ -142,13 +144,13 @@ def test_cooc_prob_one_always_pairs():
 
 
 def test_cooc_frequency_within_five_points():
-    cfg = SMALL.resolved_for_split(0)  # novels {1, 2}, prob 0.8
+    cfg = SMALL  # novels {1, 2} in split 0, prob 0.8
     allowed = set(range(9))
     containing = 0
     paired = 0
-    partner = cfg.cooc[1].partner
+    partner = cfg.partner_of(1)
     for i in range(600):
-        _, mask = generate_scene(cfg, allowed, np.random.default_rng((6, i)))
+        _, mask = generate_scene(cfg, cfg.novel_ids(0), allowed, np.random.default_rng((6, i)))
         present = set(np.unique(mask))
         if 1 in present:
             containing += 1
@@ -162,11 +164,9 @@ def test_cooc_frequency_within_five_points():
 def test_partner_assignment_leaves_split():
     cfg = SceneConfig()
     for split in range(4):
-        resolved = cfg.resolved_for_split(split)
         novel = set(cfg.novel_ids(split))
-        for u, rule in resolved.cooc.items():
-            assert u in novel
-            assert rule.partner not in novel
+        for u in novel:
+            assert cfg.partner_of(u) not in novel
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +237,15 @@ def test_non_utf8_manifest_is_config_error(built, tmp_path):
         load_manifest(str(path))
 
 
+@pytest.mark.parametrize("mask_shape", [(20, 24), (24, 20), (28, 28)])
+def test_load_pair_rejects_a_mask_shaped_unlike_its_image(tmp_path, mask_shape):
+    write_ppm(str(tmp_path / "i.ppm"), np.zeros((24, 24, 3)))
+    write_pgm(str(tmp_path / "m.pgm"), np.zeros(mask_shape, dtype=np.int64))
+    manifest = DatasetManifest([], 0, 0, [], [], [], base_dir=str(tmp_path))
+    with pytest.raises(DataError, match="m.pgm"):
+        load_pair(manifest, PairEntry("i.ppm", "m.pgm"))
+
+
 def test_sample_support_set(built):
     out, _ = built
     manifest = load_manifest(os.path.join(out, "manifest.json"))
@@ -269,5 +278,7 @@ def test_config_validation():
         SceneConfig(num_foreground=6)  # not divisible by 4
     with pytest.raises(ConfigError):
         SceneConfig(cooc_prob=1.5)
+    with pytest.raises(ConfigError, match="novel too"):
+        SceneConfig(cooc_partner_offset=1)  # pairs novel classes 1 and 2 of split 0
     with pytest.raises(ConfigError):
         SceneConfig().novel_ids(4)

@@ -29,13 +29,13 @@ import numpy as np
 
 from .backbone import IN_CHANNELS, BackboneParams
 from .errors import FormatError, IoError, ProtosegError
-from .model import EvalModel, from_train_state
+from .model import DEFAULT_AMP_GAMMA, EvalModel, from_train_state
 from .netpbm import atomic_write
 from .prototypes import (
     ROLE_BASE, ROLE_NOVEL, GammaNet, make_classifier, named_parameters, parameters_from_named
 )
 from .tensor import Tensor
-from .training import DEFAULT_AMP_GAMMA, VARIANT_KINDS, TrainConfig, TrainState, make_variant
+from .training import VARIANT_KINDS, TrainConfig, TrainState, make_variant
 
 MAGIC = b"CAPL"
 VERSION = 1
@@ -322,7 +322,6 @@ def load_train_state(path: str):
         backbone=backbone,
         class_ids=tuple(doc["class_ids"]),
         weights=weights,
-        roles=dict(doc["roles"]),
         gammanet=gammanet,
         rng_batches=rng_batches,
         rng_steps=rng_steps,

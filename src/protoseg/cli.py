@@ -144,7 +144,7 @@ def cmd_train(args) -> int:
             raise ConfigError("--stop-after is before the resumed step")
         until = args.stop_after
     run_training_loop(state, data, until=until)
-    save_train_state(args.out, state, names, store_f32=args.f32)
+    save_train_state(args.out, state, names)
     write_curve(state, args.curve or f"{args.out}.curve.csv")
     print(args.out)
     return EXIT_OK
@@ -152,21 +152,16 @@ def cmd_train(args) -> int:
 
 def cmd_register(args) -> int:
     model = load_checkpoint(args.model)
-    manifest = load_manifest(args.data)
     if args.gamma is not None:
         model = with_fixed_gamma(model, args.gamma)
+    manifest = load_manifest(args.data)
     supports = sample_support_set(manifest, args.shots, args.seed)
-    clf = register_for_variant(model, supports)
-    names = dict(model.class_names)
-    for cid in clf.ids_with_role("novel"):
-        names.setdefault(cid, f"class{cid}")
     registered = dataclasses.replace(
         model,
-        classifier=clf,
-        class_names=names,
+        classifier=register_for_variant(model, supports),
         meta={**model.meta, "registered_shots": args.shots, "registered_seed": args.seed},
     )
-    save_checkpoint(args.out, registered, store_f32=args.f32)
+    save_checkpoint(args.out, registered)
     print(args.out)
     return EXIT_OK
 
@@ -186,9 +181,9 @@ def cmd_predict(args) -> int:
 
 def cmd_eval(args) -> int:
     model = load_checkpoint(args.model)
-    manifest = load_manifest(args.data)
     if args.gamma is not None:
         model = with_fixed_gamma(model, args.gamma)
+    manifest = load_manifest(args.data)
     seeds = _parse_seeds(args.seeds)
     if args.protocol == "gfs":
         report = run_gfs_protocol(model, manifest, args.shots, seeds)
@@ -283,7 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--curve", help="loss curve CSV (default: <out>.curve.csv)")
     p.add_argument("--resume", help="continue from a training snapshot")
     p.add_argument("--stop-after", type=int, help="halt after this many total steps")
-    p.add_argument("--f32", action="store_true", help="store tensors as 32-bit")
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("register", help="imprint novel classes from K supports")
@@ -293,7 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=DEFAULT_SEEDS[0])
     p.add_argument("--out", required=True)
     p.add_argument("--gamma", type=float, help="fixed gate of capl_te, convg_gamma or amp_gamma")
-    p.add_argument("--f32", action="store_true")
     p.set_defaults(fn=cmd_register)
 
     p = sub.add_parser("predict", help="segment one PPM image")

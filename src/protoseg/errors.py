@@ -1,8 +1,12 @@
-"""Exception taxonomy shared across the package.
+"""Exception taxonomy shared across the package, and the type check of the
+config dataclasses that raises ConfigError.
 
 The CLI maps these onto stable exit codes: ConfigError/RangeError/UnsupportedOp
 -> 2, IoError/FormatError -> 3, NumericalError -> 4, data-level errors -> 5.
 """
+
+import sys
+from dataclasses import fields
 
 
 class ProtosegError(Exception):
@@ -55,3 +59,17 @@ class DegenerateError(ProtosegError):
 
 class DegenerateBatchError(DegenerateError):
     """Every pixel of a batch is ignored; no loss can be formed."""
+
+
+def check_field_types(config) -> None:
+    """Raise ConfigError unless every field of the config dataclass holds what
+    its annotation names: an ``int`` field a non-bool integer, a ``float``
+    field a non-bool real that is a finite float (so no integer too large
+    for one)."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        real = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if f.type == "int" and not (real and isinstance(value, int)):
+            raise ConfigError(f"{f.name} must be an integer, got {value!r}")
+        if f.type == "float" and not (real and abs(value) <= sys.float_info.max):
+            raise ConfigError(f"{f.name} must be a finite number, got {value!r}")

@@ -162,7 +162,7 @@ def run_end_to_end_check(
             wt, class_ids, gn,
             [feats[i] for i in support], [masks[i] for i in support], split,
         )
-        loss, _ = dual_loss(wt, updated, feats, masks, query, class_ids, alpha=10.0)
+        loss, _ = dual_loss(wt, updated, feats, masks, query, class_ids)
         return loss
 
     return [

@@ -6,7 +6,9 @@ from dataclasses import dataclass, field
 
 from .backbone import BackboneParams
 from .prototypes import Classifier, GammaNet
-from .training import DEFAULT_AMP_GAMMA, TrainState
+from .training import TrainState
+
+DEFAULT_AMP_GAMMA = 0.5  # the fixed gate of amp_gamma unless --gamma sets one
 
 
 @dataclass
@@ -33,7 +35,6 @@ def from_train_state(state: TrainState, class_names: dict[int, str] | None = Non
         gammanet=state.gammanet,
         variant_kind=state.variant.kind,
         converged_gamma=state.converged_gamma(),
-        amp_gamma=state.config.amp_gamma,
         class_names=dict(class_names or {}),
         meta={
             "seed": state.config.seed,

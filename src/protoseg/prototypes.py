@@ -16,7 +16,7 @@ import numpy as np
 
 from . import tensor as T
 from .backbone import BackboneParams, extract_features
-from .errors import ConfigError, EmptyMaskError, RangeError, ShapeError
+from .errors import ConfigError, EmptyMaskError, NumericalError, RangeError, ShapeError
 from .tensor import Tensor
 
 ROLE_BASE = "base"
@@ -248,10 +248,14 @@ def fuse_prototype(p_cls: Tensor, p_feat: Tensor, gamma) -> Tensor:
     """Convex combination gamma * p_cls + (1 - gamma) * p_feat.
 
     ``gamma`` is a float or a scalar tensor (the latter keeps gradients
-    flowing through the gate during training).
+    flowing through the gate during training). A tensor gamma that is not
+    finite (a diverged gate) is a ``NumericalError``; any other gamma
+    outside [0, 1] is a ``RangeError``.
     """
     if isinstance(gamma, Tensor):
         g = float(gamma.data.reshape(()))
+        if not np.isfinite(g):
+            raise NumericalError(f"the gate computed gamma {g}")
         if not 0.0 <= g <= 1.0:
             raise RangeError(f"gamma {g} outside [0, 1]")
         return T.add(T.mul(p_cls, gamma), T.mul(p_feat, T.scale(gamma, -1.0, 1.0)))

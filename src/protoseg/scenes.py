@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, GenerationError
+from .errors import ConfigError, DataError, GenerationError, check_field_types
 from .netpbm import atomic_write, make_dirs, read_json, read_pgm, read_ppm, write_pgm, write_ppm
 from .prototypes import ROLE_BASE, ROLE_NOVEL, SupportSample, SupportSet
 from .tensor import IGNORE_LABEL, Tensor
@@ -49,6 +49,7 @@ class SceneConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_field_types(self)
         if self.num_foreground < NUM_SPLITS:
             raise ConfigError("need at least one foreground class per split")
         if self.num_foreground % NUM_SPLITS != 0:
@@ -59,6 +60,13 @@ class SceneConfig:
             raise ConfigError("images must be at least 8x8")
         if self.shapes_min < 0 or self.shapes_max < self.shapes_min:
             raise ConfigError("bad shapes-per-image range")
+        if self.noise < 0:
+            raise ConfigError(f"noise must be non-negative, got {self.noise}")
+        if not 0.0 <= self.context_tint <= 1.0:
+            raise ConfigError(f"context_tint {self.context_tint} outside [0, 1]")
+        for name in ("train_scenes", "support_per_class", "test_scenes", "seed"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be non-negative")
         for split in range(NUM_SPLITS):
             for u in self.novel_ids(split):
                 if self.partner_of(u) in self.novel_ids(split):
@@ -276,10 +284,6 @@ class DatasetManifest:
     support_pool: list[PairEntry]
     test: list[PairEntry]
     base_dir: str = "."
-
-    @property
-    def roles(self) -> dict[int, str]:
-        return {int(c["id"]): c["role"] for c in self.classes}
 
     @property
     def class_ids(self) -> tuple[int, ...]:

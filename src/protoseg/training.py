@@ -15,16 +15,17 @@ from __future__ import annotations
 
 import csv
 import io
-import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import tensor as T
 from .backbone import BackboneParams, extract_features, init_backbone
-from .errors import ConfigError, DataError, NumericalError
+from .errors import ConfigError, DataError, NumericalError, check_field_types
 from .netpbm import atomic_write
 from .prototypes import (
+    DEFAULT_ALPHA,
+    ROLE_BASE,
     GammaNet,
     fuse_prototype,
     gamma_forward,
@@ -36,7 +37,12 @@ from .prototypes import (
 from .scenes import DatasetManifest, load_pair
 from .tensor import IGNORE_LABEL, Tape, Tensor, backward
 
-DEFAULT_AMP_GAMMA = 0.5
+# the SGD recipe: momentum, poly learning-rate decay exponent, weight decay
+# and the global gradient-norm clip
+MOMENTUM = 0.9
+POLY_POWER = 0.9
+WEIGHT_DECAY = 1e-3
+CLIP_GRAD_NORM = 1.0
 
 
 @dataclass(frozen=True)
@@ -44,39 +50,19 @@ class TrainConfig:
     batch_size: int = 8
     steps: int = 3000
     lr: float = 0.05
-    momentum: float = 0.9
-    poly_power: float = 0.9
     seed: int = 0
     embed_dim: int = 32
-    alpha: float = 10.0
     backbone_layers: int = 3
-    amp_gamma: float = DEFAULT_AMP_GAMMA
-    weight_decay: float = 1e-3
-    clip_grad_norm: float = 1.0  # 0 disables clipping
 
     def __post_init__(self):
-        for f in fields(self):  # the annotations above are the type table
-            value = getattr(self, f.name)
-            real = isinstance(value, (int, float)) and not isinstance(value, bool)
-            if f.type == "int" and not (real and isinstance(value, int)):
-                raise ConfigError(f"{f.name} must be an integer, got {value!r}")
-            if f.type == "float" and not (real and math.isfinite(value)):
-                raise ConfigError(f"{f.name} must be a finite number, got {value!r}")
+        check_field_types(self)
         if self.batch_size < 4:
             raise ConfigError(f"batch size must be >= 4, got {self.batch_size}")
         if self.lr <= 0:
             raise ConfigError("learning rate must be positive")
-        if self.alpha <= 0:
-            raise ConfigError("alpha must be positive")
-        if self.steps < 0:
-            raise ConfigError("steps must be non-negative")
-        if self.weight_decay < 0:
-            raise ConfigError("weight decay must be non-negative")
-        for name in ("momentum", "poly_power", "clip_grad_norm"):
+        for name in ("steps", "seed"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be non-negative")
-        if not 0.0 <= self.amp_gamma <= 1.0:
-            raise ConfigError(f"amp_gamma must lie in [0, 1], got {self.amp_gamma}")
 
 
 @dataclass(frozen=True)
@@ -206,9 +192,9 @@ def _label_lut(class_ids: tuple[int, ...]) -> np.ndarray:
     return lut
 
 
-def _scaled_cosine_logits(flat_feats: Tensor, weights: Tensor, alpha: float) -> Tensor:
+def _scaled_cosine_logits(flat_feats: Tensor, weights: Tensor) -> Tensor:
     normed_w = T.l2_normalize(weights)
-    return T.scale(T.matmul(flat_feats, normed_w, transpose_b=True), alpha)
+    return T.scale(T.matmul(flat_feats, normed_w, transpose_b=True), DEFAULT_ALPHA)
 
 
 def _batch_ce(
@@ -217,14 +203,13 @@ def _batch_ce(
     positions,
     weights: Tensor,
     lut: np.ndarray,
-    alpha: float,
 ) -> Tensor:
     chosen = [feats_flat[i] for i in positions]
     stacked = chosen[0] if len(chosen) == 1 else T.concat(chosen, axis=0)
     target = np.concatenate([lut[labels[i].reshape(-1)] for i in positions])
     if (target == -1).any():
         raise DataError("label id not covered by the classifier")
-    logits = _scaled_cosine_logits(stacked, weights, alpha)
+    logits = _scaled_cosine_logits(stacked, weights)
     return T.softmax_cross_entropy(logits, target)
 
 
@@ -235,7 +220,6 @@ def dual_loss(
     masks: list[np.ndarray],
     query_positions,
     class_ids: tuple[int, ...],
-    alpha: float,
 ) -> tuple[Tensor, dict]:
     """(CE of original weights over all samples + CE of updated weights over
     the fake-query half) / 2. Means are over non-ignored pixels, pooled
@@ -243,10 +227,10 @@ def dual_loss(
     variant that does not rehearse) the loss is the first term alone."""
     lut = _label_lut(class_ids)
     flat = [T.reshape(T.l2_normalize(f), (f.shape[0] * f.shape[1], f.shape[2])) for f in feats]
-    l_cls = _batch_ce(flat, masks, range(len(feats)), weights, lut, alpha)
+    l_cls = _batch_ce(flat, masks, range(len(feats)), weights, lut)
     if updated is None:
         return l_cls, {"l_cls": float(l_cls.data), "l_update": float(l_cls.data)}
-    l_update = _batch_ce(flat, masks, query_positions, updated, lut, alpha)
+    l_update = _batch_ce(flat, masks, query_positions, updated, lut)
     loss = T.scale(T.add(l_cls, l_update), 0.5)
     info = {"l_cls": float(l_cls.data), "l_update": float(l_update.data)}
     return loss, info
@@ -262,17 +246,15 @@ class TrainData:
     images: list[Tensor]
     masks: list[np.ndarray]
     class_ids: tuple[int, ...]  # base classes, background included
-    roles: dict[int, str]
 
 
 def load_train_data(manifest: DatasetManifest) -> TrainData:
-    base_ids = manifest.ids_with_role("base")
     images, masks = [], []
     for entry in manifest.train:
         image, mask = load_pair(manifest, entry)
         images.append(image)
         masks.append(mask)
-    data = TrainData(images, masks, tuple(base_ids), {i: "base" for i in base_ids})
+    data = TrainData(images, masks, manifest.ids_with_role(ROLE_BASE))
     _validate_train_masks(data)
     return data
 
@@ -292,7 +274,6 @@ class TrainState:
     backbone: BackboneParams
     class_ids: tuple[int, ...]
     weights: Tensor
-    roles: dict[int, str]
     gammanet: GammaNet | None
     rng_batches: np.random.Generator = None
     rng_steps: np.random.Generator = None
@@ -305,7 +286,9 @@ class TrainState:
         return named_parameters(self.backbone, self.weights, self.gammanet)
 
     def classifier(self):
-        return make_classifier(self.class_ids, self.weights.data.copy(), self.roles, self.config.alpha)
+        """The trained rows as a classifier; training only ever holds base classes."""
+        roles = {cid: ROLE_BASE for cid in self.class_ids}
+        return make_classifier(self.class_ids, self.weights.data.copy(), roles)
 
     def converged_gamma(self) -> float | None:
         """Mean per-step gamma over the final tenth of training."""
@@ -331,7 +314,6 @@ def init_state(config: TrainConfig, data: TrainData, variant: VariantSpec) -> Tr
         backbone=backbone,
         class_ids=data.class_ids,
         weights=weights,
-        roles=dict(data.roles),
         gammanet=gammanet,
         rng_batches=np.random.default_rng((config.seed, 4)),
         rng_steps=np.random.default_rng((config.seed, 5)),
@@ -366,30 +348,22 @@ def train_step(state: TrainState, batch: TrainBatch, rng: np.random.Generator) -
             masks,
             batch.fake_query_idx,
             state.class_ids,
-            cfg.alpha,
         )
     if not np.isfinite(loss.data).all():
         raise NumericalError(f"non-finite loss at step {state.step}")
     backward(tape, loss)
 
-    lr_t = cfg.lr * (1.0 - state.step / max(1, cfg.steps)) ** cfg.poly_power
-    clip_scale = 1.0
-    if cfg.clip_grad_norm > 0:
-        total_sq = 0.0
-        for _, param in state.parameters():
-            if param.grad is not None:
-                total_sq += float(np.sum(param.grad * param.grad))
-        total = np.sqrt(total_sq)
-        if total > cfg.clip_grad_norm:
-            clip_scale = cfg.clip_grad_norm / total
-    for name, param in state.parameters():
+    lr_t = cfg.lr * (1.0 - state.step / max(1, cfg.steps)) ** POLY_POWER
+    params = state.parameters()
+    total = np.sqrt(sum(float(np.sum(p.grad * p.grad)) for _, p in params if p.grad is not None))
+    clip_scale = CLIP_GRAD_NORM / total if total > CLIP_GRAD_NORM else 1.0
+    for name, param in params:
         grad = param.grad if param.grad is not None else np.zeros_like(param.data)
         if clip_scale != 1.0:
             grad = grad * clip_scale
-        if cfg.weight_decay:
-            grad = grad + cfg.weight_decay * param.data
+        grad = grad + WEIGHT_DECAY * param.data
         vel = state.velocities.get(name)
-        vel = grad.copy() if vel is None else cfg.momentum * vel + grad
+        vel = grad if vel is None else MOMENTUM * vel + grad
         state.velocities[name] = vel
         param.data = param.data - lr_t * vel
         param.grad = None

@@ -219,20 +219,31 @@ def test_train_state_schema_violations_are_format_errors(tmp_path, key, value):
 
 
 @pytest.mark.parametrize(
-    "step, role_of_5, momentum",
+    "step, role_of_5, momentum, config_extra",
     [
-        pytest.param(3, "novel", None, id="registered"),
-        pytest.param(3, "base", [], id="no_momentum"),
-        pytest.param(3, "base", [("opt.classifier.weights", np.zeros((3, 6)))], id="one_buffer"),
-        pytest.param(0, "base", [("opt.classifier.weights", np.zeros((3, 6)))], id="step_0_buffer"),
+        pytest.param(3, "novel", None, {}, id="registered"),
+        pytest.param(3, "base", [], {}, id="no_momentum"),
         pytest.param(
-            3, "base", [(f"opt.{n}", np.zeros(2)) for n, _ in _named(_model())], id="buffer_shapes"
+            3, "base", [("opt.classifier.weights", np.zeros((3, 6)))], {}, id="one_buffer"
         ),
+        pytest.param(
+            0, "base", [("opt.classifier.weights", np.zeros((3, 6)))], {}, id="step_0_buffer"
+        ),
+        pytest.param(
+            3, "base", [(f"opt.{n}", np.zeros(2)) for n, _ in _named(_model())], {},
+            id="buffer_shapes",
+        ),
+        # a snapshot from when the SGD recipe was part of the train config
+        pytest.param(3, "base", None, {"momentum": 0.9}, id="config_with_momentum"),
     ],
 )
-def test_train_state_that_cannot_resume_is_format_error(tmp_path, step, role_of_5, momentum):
+def test_train_state_that_cannot_resume_is_format_error(
+    tmp_path, step, role_of_5, momentum, config_extra
+):
+    saved = _train_state_meta()
+    saved.update(step=step, config={**saved["config"], **config_extra})
     path = str(tmp_path / "s.ckpt")
-    _save_with_train_state(path, {**_train_state_meta(), "step": step}, role_of_5, momentum)
+    _save_with_train_state(path, saved, role_of_5, momentum)
     with pytest.raises(FormatError):
         load_train_state(path)
 

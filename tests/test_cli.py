@@ -108,9 +108,28 @@ def test_unknown_config_key_exits_2(tmp_path):
     assert main(["synth", "--config", str(bad), "--out", str(tmp_path / "x")]) == 2
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("train_scenes", 2.5),
+        ("noise", "x"),
+        ("seed", 1.5),
+        ("noise", -0.1),
+        ("context_tint", float("nan")),
+        ("height", True),
+    ],
+)
+def test_bad_scene_value_exits_2_and_writes_nothing(tmp_path, key, value):
+    cfg = tmp_path / "s.json"
+    cfg.write_text(json.dumps({"scene": {**SCENE_CFG["scene"], key: value}}))
+    out = tmp_path / "data"
+    assert main(["synth", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_bad_train_value_exits_2_before_training(workspace, tmp_path):
     cfg = tmp_path / "t.json"
-    cfg.write_text(json.dumps({"train": {**TRAIN_CFG["train"], "amp_gamma": 1.5}}))
+    cfg.write_text(json.dumps({"train": {**TRAIN_CFG["train"], "lr": -1.0}}))
     out = tmp_path / "never.ckpt"
     args = ["train", "--config", str(cfg), "--data", workspace["manifest"], "--out", str(out)]
     assert main(args) == 2
@@ -326,22 +345,30 @@ def test_gradcheck_unknown_op_exits_2():
     assert main(["gradcheck", "--trials", "1", "--corrupt-op", "fft"]) == 2
 
 
+SHOTS = ("--shots", "1")
+
+
 @pytest.mark.parametrize(
-    "command, variant, gamma",
-    [pytest.param(c, "convg_gamma", "1.5", id=c) for c in ("register", "eval")]
+    "command, variant, gamma, protocol_args",
+    [pytest.param(c, "convg_gamma", "1.5", SHOTS, id=c) for c in ("register", "eval")]
     + [
-        pytest.param(c, v, "0.3", id=f"{c}-{v}")
+        pytest.param(c, v, "0.3", SHOTS, id=f"{c}-{v}")
         for c in ("register", "eval")
         for v in ("capl", "capl_tr", "baseline", "amp_gamma")
+    ]
+    + [
+        # paths that register through no gate still reject the value
+        pytest.param("eval", "convg_gamma", "1.5", ("--protocol", "fs", *SHOTS), id="eval-fs"),
+        pytest.param("eval", "convg_gamma", "1.5", (), id="eval-base_only"),
     ],
 )
 def test_out_of_range_gamma_on_a_fixed_gamma_variant_exits_2(
-    workspace, tmp_path, command, variant, gamma
+    workspace, tmp_path, command, variant, gamma, protocol_args
 ):
     fixed = str(tmp_path / "fixed.ckpt")
     save_checkpoint(fixed, replace(load_checkpoint(workspace["ckpt"]), variant_kind=variant))
     flag = "--out" if command == "register" else "--report"
-    args = [command, "--model", fixed, "--data", workspace["manifest"], "--shots", "1", flag]
+    args = [command, "--model", fixed, "--data", workspace["manifest"], *protocol_args, flag]
     out = str(tmp_path / "out")
     code = main(args + [out, "--gamma", gamma])
     if variant == "amp_gamma":  # the one in-range case: --gamma sets the amp gate
@@ -379,16 +406,13 @@ def test_resume_from_a_snapshot_that_cannot_continue_exits_3(workspace, tmp_path
     assert not os.path.exists(out)
 
 
-def test_train_numeric_blowup_exits_4(workspace, tmp_path):
+@pytest.mark.parametrize("variant", ["baseline", "capl"])
+def test_train_numeric_blowup_exits_4(workspace, tmp_path, variant):
     cfg = tmp_path / "hot.json"
-    cfg.write_text(
-        json.dumps(
-            {"train": {**TRAIN_CFG["train"], "steps": 5, "lr": 1e160, "clip_grad_norm": 0.0}}
-        )
-    )
+    cfg.write_text(json.dumps({"train": {**TRAIN_CFG["train"], "steps": 5, "lr": 1e160}}))
     with np.errstate(all="ignore"):
         code = main(
             ["train", "--config", str(cfg), "--data", workspace["manifest"],
-             "--variant", "baseline", "--out", str(tmp_path / "hot.ckpt")]
+             "--variant", variant, "--out", str(tmp_path / "hot.ckpt")]
         )
     assert code == 4

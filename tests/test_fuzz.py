@@ -83,7 +83,7 @@ def _small_train_state():
     for _ in range(4):
         images.append(Tensor(rng.uniform(0, 1, (4, 4, 3))))
         masks.append(rng.integers(0, 3, (4, 4)))
-    data = TrainData(images, masks, (0, 1, 2), {0: "base", 1: "base", 2: "base"})
+    data = TrainData(images, masks, (0, 1, 2))
     config = TrainConfig(batch_size=4, steps=2, seed=0, embed_dim=2, backbone_layers=1)
     return run_training_loop(init_state(config, data, make_variant("capl")), data)
 

@@ -1,9 +1,15 @@
-"""Package-wide invariants: one implementation per concept, no unused imports."""
+"""Package-wide invariants: one implementation per concept, no unused imports,
+no config field that no caller sets."""
 
 import ast
+import dataclasses
+import json
 import pathlib
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "protoseg"
+from protoseg.training import TrainConfig
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "protoseg"
 
 
 def _source() -> str:
@@ -36,3 +42,9 @@ def test_every_imported_name_is_used():
         used |= {n.value for n in ast.walk(tree) if isinstance(n, ast.Constant)}
         unused += [f"{path.name}:{line} {n}" for n, line in imported.items() if n not in used]
     assert unused == []
+
+
+def test_train_config_has_only_the_fields_the_shipped_config_sets():
+    # a training value that no config sets is a constant in training.py
+    shipped = json.loads((ROOT / "configs" / "quick.json").read_text())["train"]
+    assert {f.name for f in dataclasses.fields(TrainConfig)} == set(shipped)

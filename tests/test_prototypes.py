@@ -7,6 +7,7 @@ from protoseg.backbone import init_backbone, extract_features
 from protoseg.errors import (
     ConfigError,
     EmptyMaskError,
+    NumericalError,
     RangeError,
     ShapeError,
 )
@@ -264,6 +265,12 @@ def test_fuse_rejects_gamma_outside_unit_interval():
         fuse_prototype(p, p, 1.5)
     with pytest.raises(RangeError):
         fuse_prototype(p, p, -0.1)
+
+
+def test_fuse_with_a_non_finite_gate_output_is_numerical_error():
+    p = Tensor(np.zeros(2))
+    with pytest.raises(NumericalError):
+        fuse_prototype(p, p, Tensor(np.array(np.nan)))
 
 
 def test_fuse_stays_in_componentwise_hull():

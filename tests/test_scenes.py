@@ -282,3 +282,19 @@ def test_config_validation():
         SceneConfig(cooc_partner_offset=1)  # pairs novel classes 1 and 2 of split 0
     with pytest.raises(ConfigError):
         SceneConfig().novel_ids(4)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("seed", -1),
+        ("test_scenes", -1),
+        ("support_per_class", -2),
+        ("context_tint", 1.5),
+        ("color_jitter", float("inf")),
+        pytest.param("noise", 10**400, id="noise-huge_int"),
+    ],
+)
+def test_scene_config_rejects_bad_values_at_construction(field, value):
+    with pytest.raises(ConfigError, match=field):
+        SceneConfig(**{field: value})

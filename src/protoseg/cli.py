@@ -54,6 +54,7 @@ from .training import (
     write_curve,
 )
 
+SEEDS = ",".join(map(str, DEFAULT_SEEDS))
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
@@ -94,13 +95,16 @@ def _known_sections(doc: dict, allowed: set[str]) -> None:
         raise ConfigError(f"unknown config sections: {sorted(unknown)}")
 
 
-def _parse_seeds(raw: str | None):
-    if not raw:
-        return DEFAULT_SEEDS
+def _int_list(raw: str, flag: str, least: int) -> tuple[int, ...]:
+    """The integers of a comma-separated flag; a ``ConfigError`` for a
+    non-integer, an empty list or a value below ``least``."""
     try:
-        return tuple(int(s) for s in raw.replace(" ", "").split(",") if s)
+        values = tuple(int(s) for s in raw.replace(" ", "").split(",") if s)
     except ValueError as exc:
-        raise ConfigError(f"bad seed list {raw!r}") from exc
+        raise ConfigError(f"bad {flag} list {raw!r}") from exc
+    if not values or min(values) < least:
+        raise ConfigError(f"{flag} needs one or more integers >= {least}, got {raw!r}")
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -180,11 +184,13 @@ def cmd_predict(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    seeds = _int_list(args.seeds, "--seeds", 0)
+    if args.shots is not None and args.shots < 1:
+        raise ConfigError("--shots must be >= 1; omit it for a base-only gfs pass")
     model = load_checkpoint(args.model)
     if args.gamma is not None:
         model = with_fixed_gamma(model, args.gamma)
     manifest = load_manifest(args.data)
-    seeds = _parse_seeds(args.seeds)
     if args.protocol == "gfs":
         report = run_gfs_protocol(model, manifest, args.shots, seeds)
         payload = report_to_json(
@@ -214,19 +220,15 @@ def cmd_ablate(args) -> int:
     doc = _load_config(args.config)
     _known_sections(doc, {"scene", "train", "protocol"})
     config = _section(doc, "train", TrainConfig)
-    manifest = load_manifest(args.data)
+    shots_list = _int_list(args.shots_list, "--shots-list", 1)
+    seeds = _int_list(args.seeds, "--seeds", 0)
     variants = [v.strip() for v in args.variants.split(",") if v.strip()]
+    if not variants:
+        raise ConfigError(f"--variants names no variant: {args.variants!r}")
     for v in variants:
         make_variant(v)  # validate early
-    shots_list = [int(s) for s in args.shots_list.replace(" ", "").split(",") if s]
-    rows = run_ablation(
-        manifest,
-        shots_list,
-        variants,
-        _parse_seeds(args.seeds),
-        config,
-        cache_dir=args.cache,
-    )
+    manifest = load_manifest(args.data)
+    rows = run_ablation(manifest, shots_list, variants, seeds, config, cache_dir=args.cache)
     write_ablation_csv(rows, args.out)
     print(args.out)
     return EXIT_OK
@@ -301,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--protocol", choices=("gfs", "fs"), default="gfs")
     p.add_argument("--shots", type=int, help="omit for a base-only gfs pass")
-    p.add_argument("--seeds", help="comma-separated support-sampling seeds")
+    p.add_argument("--seeds", default=SEEDS, help="comma-separated support-sampling seeds")
     p.add_argument("--episodes", type=int, default=DEFAULT_FS_EPISODES)
     p.add_argument("--gamma", type=float, help="fixed gate of capl_te, convg_gamma or amp_gamma")
     p.add_argument("--report", required=True, help="output report.json")
@@ -312,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--variants", default=",".join(VARIANT_KINDS))
     p.add_argument("--shots-list", default="1,5,10")
-    p.add_argument("--seeds")
+    p.add_argument("--seeds", default=SEEDS)
     p.add_argument("--cache", help="checkpoint cache directory")
     p.add_argument("--out", required=True, help="output CSV")
     p.set_defaults(fn=cmd_ablate)

@@ -3,7 +3,9 @@ and the fusion-strategy ablation grid.
 
 Test-image features depend only on the trained backbone, so they are
 extracted once per model and shared across support-sampling seeds; each seed
-only recomputes prototypes and the cheap cosine scores.
+only recomputes prototypes and the cheap cosine scores. The episodic protocol
+likewise pools each support-pool scene once per call and sums the cached
+parts in every episode that draws it.
 """
 
 from __future__ import annotations
@@ -27,10 +29,12 @@ from .prototypes import (
     ROLE_NOVEL,
     SupportSet,
     classify,
-    form_novel_prototype,
     make_classifier,
-    pixel_weighted_mean,
+    masked_sum_part,
+    mean_of_shots,
+    pixel_weighted_combine,
     register_novel_classes,
+    shot_prototype,
 )
 from .scenes import DatasetManifest, load_pair, sample_support_set
 from .tensor import IGNORE_LABEL, Tensor
@@ -122,12 +126,6 @@ def _binary_truth(mask: np.ndarray, fg_class: int) -> np.ndarray:
     return out
 
 
-def _background_prototype(feats, masks, fg_class: int) -> np.ndarray:
-    """Pixel-weighted mean of everything that is neither foreground nor ignore."""
-    keep = [(mask != fg_class) & (mask != IGNORE_LABEL) for mask in masks]
-    return pixel_weighted_mean(feats, keep)[0].data
-
-
 def run_fs_protocol(
     model: EvalModel,
     manifest: DatasetManifest,
@@ -137,7 +135,11 @@ def run_fs_protocol(
 ) -> dict:
     """One-way binary episodes: foreground prototype from K shots, background
     prototype from the shots' remaining pixels, then IoU of the foreground on
-    a query scene containing the class. Reports the class-wise mean."""
+    a query scene containing the class. Reports the class-wise mean.
+
+    Each pool scene is loaded, extracted and pooled once per call, the first
+    time an episode draws it; later episodes reuse its foreground mean and
+    background sum, so the prototypes are bitwise those of re-extraction."""
     if episodes < 1:
         raise ConfigError("episodes must be >= 1")
     if k < 1:
@@ -147,31 +149,29 @@ def run_fs_protocol(
         raise DataError("manifest declares no novel classes")
 
     pools = {}
-    queries: dict[int, list[int]] = {u: [] for u in novel_ids}
     test_pairs = [load_pair(manifest, e) for e in manifest.test]
-    for i, (_, mask) in enumerate(test_pairs):
-        for u in novel_ids:
-            if (mask == u).any():
-                queries[u].append(i)
+    queries = {u: [i for i, (_, m) in enumerate(test_pairs) if (m == u).any()] for u in novel_ids}
     for u in novel_ids:
         if not queries[u]:
             raise DataError(f"no test scene contains novel class {u}")
         pools[u] = manifest.support_pool_for(u, k)
 
     test_feats: dict[int, Tensor] = {}
+    # (class, pool index) -> (foreground pooled mean, background (masked sum, pixel count))
+    parts: dict[tuple[int, int], tuple] = {}
     rng = np.random.default_rng(seed)
     matrices = {u: ConfusionMatrix([0, 1]) for u in novel_ids}
     for ep in range(episodes):
         u = novel_ids[ep % len(novel_ids)]
         picks = sorted(int(i) for i in rng.choice(len(pools[u]), k, replace=False))
-        shots = [load_pair(manifest, pools[u][i]) for i in picks]
-        shot_feats = [extract_features(model.backbone, img) for img, _ in shots]
-        shot_masks = [mask for _, mask in shots]
-
-        fg = form_novel_prototype(
-            [(f, m == u) for f, m in zip(shot_feats, shot_masks)]
-        ).data
-        bg = _background_prototype(shot_feats, shot_masks, u)
+        for i in picks:
+            if (u, i) not in parts:
+                image, mask = load_pair(manifest, pools[u][i])
+                feats = extract_features(model.backbone, image)
+                background = (mask != u) & (mask != IGNORE_LABEL)
+                parts[u, i] = (shot_prototype(feats, mask == u), masked_sum_part(feats, background))
+        fg = mean_of_shots([parts[u, i][0] for i in picks]).data
+        bg = pixel_weighted_combine([parts[u, i][1] for i in picks], len(fg))[0].data
         clf = make_classifier(
             [0, 1], np.stack([bg, fg]), {0: "base", 1: "novel"}, model.classifier.alpha
         )

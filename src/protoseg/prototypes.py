@@ -9,6 +9,7 @@ weighted by a small learned gate network.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
 
@@ -175,23 +176,44 @@ def pool_prototype(features: Tensor, mask: np.ndarray) -> Tensor:
     return T.div_scalar(T.masked_sum(features, m), count)
 
 
+def shot_prototype(features: Tensor, mask: np.ndarray) -> Tensor | None:
+    """Per-shot part of ``form_novel_prototype``; None for an empty mask."""
+    return pool_prototype(features, mask) if np.count_nonzero(mask) else None
+
+
+def mean_of_shots(pooled: list[Tensor | None]) -> Tensor:
+    """Combine step of ``form_novel_prototype``: the non-None parts' sum over their number."""
+    pooled = [p for p in pooled if p is not None]
+    if not pooled:
+        raise EmptyMaskError("every shot has an empty mask")
+    return T.div_scalar(functools.reduce(T.add, pooled), len(pooled))
+
+
 def form_novel_prototype(shots: list[tuple[Tensor, np.ndarray]]) -> Tensor:
     """Shot-level mean of per-shot masked means; empty-mask shots are skipped.
 
     Distinct from context accumulation: every contributing shot carries equal
     weight regardless of its pixel count.
     """
-    pooled = [
-        pool_prototype(features, mask)
-        for features, mask in shots
-        if np.count_nonzero(np.asarray(mask)) > 0
-    ]
-    if not pooled:
-        raise EmptyMaskError("every shot has an empty mask")
-    acc = pooled[0]
-    for p in pooled[1:]:
-        acc = T.add(acc, p)
-    return T.div_scalar(acc, len(pooled))
+    return mean_of_shots([shot_prototype(features, mask) for features, mask in shots])
+
+
+def masked_sum_part(features: Tensor, mask: np.ndarray) -> tuple[Tensor, int] | None:
+    """Per-sample part of ``pixel_weighted_mean``: (masked sum, pixel count); None if empty."""
+    n = int(np.count_nonzero(mask))
+    return (T.masked_sum(features, mask), n) if n else None
+
+
+def pixel_weighted_combine(parts, dim: int) -> tuple[Tensor, int]:
+    """Combine step of ``pixel_weighted_mean``: the non-None parts' sums, added as ``parts``
+    yields them, over their total count; a zero vector of width ``dim`` when there are none."""
+    total, count = None, 0
+    for part, n in filter(None, parts):
+        total = part if total is None else T.add(total, part)
+        count += n
+    if count == 0:
+        return Tensor(np.zeros(dim)), 0
+    return T.div_scalar(total, count), count
 
 
 def pixel_weighted_mean(features: list[Tensor], masks: list[np.ndarray]) -> tuple[Tensor, int]:
@@ -199,20 +221,11 @@ def pixel_weighted_mean(features: list[Tensor], masks: list[np.ndarray]) -> tupl
     pooled before dividing, and the pixel count.
 
     Samples with an empty mask are skipped; when no pixel is set at all the
-    result is the zero vector with count 0.
+    result is the zero vector with count 0. Each masked sum is taken just
+    before it is added, so on a tape the records interleave sample by sample.
     """
-    total = None
-    count = 0
-    for feat, m in zip(features, masks):
-        n = int(np.count_nonzero(m))
-        if n == 0:
-            continue
-        part = T.masked_sum(feat, m)
-        total = part if total is None else T.add(total, part)
-        count += n
-    if count == 0:
-        return Tensor(np.zeros(features[0].shape[-1] if features else 0)), 0
-    return T.div_scalar(total, count), count
+    parts = (masked_sum_part(feat, m) for feat, m in zip(features, masks))
+    return pixel_weighted_combine(parts, features[0].shape[-1] if features else 0)
 
 
 def accumulate_context_prototype(

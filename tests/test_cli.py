@@ -309,6 +309,10 @@ def test_eval_fs_protocol(workspace, tmp_path):
     doc = json.loads(open(report_path).read())
     assert "class_miou" in doc
     assert doc["episodes"] == 4
+    again = str(tmp_path / "fs2.json")
+    main(["eval", "--model", workspace["ckpt"], "--data", workspace["manifest"],
+          "--protocol", "fs", "--shots", "1", "--episodes", "4", "--report", again])
+    assert sha(report_path) == sha(again)
 
 
 def test_ablate_single_variant(workspace, tmp_path):
@@ -334,6 +338,34 @@ def test_ablate_cache_under_a_file_exits_3(workspace, tmp_path):
     )
     assert code == 3
     assert not os.path.exists(tmp_path / "ab.csv")
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        pytest.param("ablate", ("--shots-list", "1,x"), id="ablate-shots-list-not-int"),
+        pytest.param("ablate", ("--shots-list", "0"), id="ablate-shots-list-zero"),
+        pytest.param("ablate", ("--seeds", ","), id="ablate-seeds-empty"),
+        pytest.param("ablate", ("--variants", ","), id="ablate-variants-empty"),
+        pytest.param("eval", ("--seeds", ","), id="eval-seeds-empty"),
+        pytest.param(
+            "eval", ("--protocol", "fs", "--shots", "1", "--seeds", ","), id="fs-seeds-empty"
+        ),
+        pytest.param("eval", ("--shots", "0"), id="eval-shots-zero"),
+    ],
+)
+def test_bad_list_or_shot_flag_exits_2_and_writes_nothing(workspace, tmp_path, command, flags):
+    # the manifest does not exist: exit 2 rather than 3 shows the flags are
+    # checked before any data is read
+    data = str(tmp_path / "absent" / "manifest.json")
+    out = str(tmp_path / "out")
+    if command == "ablate":
+        args = ["ablate", "--config", workspace["train_cfg"], "--data", data, "--out", out,
+                "--cache", str(tmp_path / "cache")]
+    else:
+        args = ["eval", "--model", workspace["ckpt"], "--data", data, "--report", out]
+    assert main(args + list(flags)) == 2
+    assert os.listdir(tmp_path) == []
 
 
 def test_gradcheck_passes_and_corruption_fails():

@@ -1,5 +1,6 @@
 """Evaluation protocols over a small end-to-end world."""
 
+import json
 import os
 
 import numpy as np
@@ -108,6 +109,85 @@ def test_fs_protocol_smoke(world):
     assert out == again
 
 
+def fs_oracle(model, manifest, k, episodes, seed):
+    """The episodic protocol without a cache: every episode reloads and
+    re-extracts each of its K shots, with the same draws from the same RNG.
+    Also returns the distinct (class, pool index) shots and queries drawn."""
+    from protoseg.backbone import extract_features
+    from protoseg.metrics import ConfusionMatrix, iou_per_class
+    from protoseg.prototypes import (
+        classify,
+        form_novel_prototype,
+        make_classifier,
+        pixel_weighted_mean,
+    )
+    from protoseg.protocols import _binary_truth
+    from protoseg.scenes import load_pair
+    from protoseg.tensor import IGNORE_LABEL
+
+    novel = manifest.ids_with_role("novel")
+    tests = [load_pair(manifest, e) for e in manifest.test]
+    queries = {u: [i for i, (_, m) in enumerate(tests) if (m == u).any()] for u in novel}
+    pools = {u: manifest.support_pool_for(u, k) for u in novel}
+    rng = np.random.default_rng(seed)
+    matrices = {u: ConfusionMatrix([0, 1]) for u in novel}
+    shots_drawn, queries_drawn = set(), set()
+    for ep in range(episodes):
+        u = novel[ep % len(novel)]
+        picks = sorted(int(i) for i in rng.choice(len(pools[u]), k, replace=False))
+        shots = [load_pair(manifest, pools[u][i]) for i in picks]
+        feats = [extract_features(model.backbone, image) for image, _ in shots]
+        masks = [mask for _, mask in shots]
+        fg = form_novel_prototype([(f, m == u) for f, m in zip(feats, masks)]).data
+        keep = [(m != u) & (m != IGNORE_LABEL) for m in masks]
+        bg = pixel_weighted_mean(feats, keep)[0].data
+        clf = make_classifier(
+            [0, 1], np.stack([bg, fg]), {0: "base", 1: "novel"}, model.classifier.alpha
+        )
+        qi = int(rng.choice(queries[u]))
+        pred, _ = classify(clf, extract_features(model.backbone, tests[qi][0]))
+        matrices[u].accumulate(pred, _binary_truth(tests[qi][1], u))
+        shots_drawn.update((u, i) for i in picks)
+        queries_drawn.add(qi)
+    per_class = {str(u): iou_per_class(m)[1] if m.total else None for u, m in matrices.items()}
+    report = {
+        "protocol": "fs",
+        "shots": k,
+        "episodes": episodes,
+        "seed": seed,
+        "class_miou": float(np.mean([v for v in per_class.values() if v is not None])),
+        "per_class": per_class,
+    }
+    return report, shots_drawn, queries_drawn
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_fs_protocol_equals_the_uncached_oracle(world, k):
+    manifest, models = world
+    got = run_fs_protocol(models["capl"], manifest, k, episodes=14, seed=7)
+    want, shots_drawn, _ = fs_oracle(models["capl"], manifest, k, episodes=14, seed=7)
+    assert len(shots_drawn) < 14 * k  # some episodes redraw a pooled scene
+    assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+
+
+def test_fs_protocol_extracts_each_drawn_scene_once(world, monkeypatch):
+    import protoseg.protocols as protocols
+
+    manifest, models = world
+    _, shots_drawn, queries_drawn = fs_oracle(models["capl"], manifest, 2, episodes=14, seed=7)
+    calls = []
+    extract = protocols.extract_features
+
+    def counted(params, image):
+        calls.append(image)
+        return extract(params, image)
+
+    monkeypatch.setattr(protocols, "extract_features", counted)
+    run_fs_protocol(models["capl"], manifest, 2, episodes=14, seed=7)
+    assert len(shots_drawn) < 14 * 2
+    assert len(calls) == len(shots_drawn) + len(queries_drawn)
+
+
 def test_fs_protocol_validates_arguments(world):
     manifest, models = world
     with pytest.raises(ConfigError):
@@ -207,9 +287,15 @@ def test_fs_self_episode_iou_on_separable_world(separable_world):
     """Query identical to the single support shot: foreground IoU near 1."""
     from protoseg.backbone import extract_features
     from protoseg.metrics import ConfusionMatrix, iou_per_class
-    from protoseg.prototypes import classify, form_novel_prototype, make_classifier
-    from protoseg.protocols import _background_prototype, _binary_truth
+    from protoseg.prototypes import (
+        classify,
+        form_novel_prototype,
+        make_classifier,
+        pixel_weighted_mean,
+    )
+    from protoseg.protocols import _binary_truth
     from protoseg.scenes import load_pair
+    from protoseg.tensor import IGNORE_LABEL
 
     manifest, model = separable_world
     ious = []
@@ -218,7 +304,7 @@ def test_fs_self_episode_iou_on_separable_world(separable_world):
         u = entry.novel_id
         feats = extract_features(model.backbone, image)
         fg = form_novel_prototype([(feats, mask == u)]).data
-        bg = _background_prototype([feats], [mask], u)
+        bg = pixel_weighted_mean([feats], [(mask != u) & (mask != IGNORE_LABEL)])[0].data
         clf = make_classifier(
             [0, 1], np.stack([bg, fg]), {0: "base", 1: "novel"}, model.classifier.alpha
         )
@@ -230,8 +316,10 @@ def test_fs_self_episode_iou_on_separable_world(separable_world):
 
 @pytest.mark.parametrize("c", [1, 6])
 def test_fs_background_prototype_is_bitwise_the_taped_pooled_mean(c):
+    """The fs background row, combined from per-shot parts taken before the
+    combine as the protocol's cache takes them, equals the taped pooled mean."""
     import protoseg.tensor as T
-    from protoseg.protocols import _background_prototype
+    from protoseg.prototypes import masked_sum_part, pixel_weighted_combine
     from protoseg.tensor import IGNORE_LABEL, Tape, Tensor
 
     rng = np.random.default_rng(29)
@@ -247,7 +335,8 @@ def test_fs_background_prototype_is_bitwise_the_taped_pooled_mean(c):
                 total = T.add(total, T.masked_sum(f, m))
             taped = T.div_scalar(total, int(sum(np.count_nonzero(m) for m in keep)))
         assert len(tape.records) == 2 * shots
-        assert np.array_equal(_background_prototype(feats, masks, 1), taped.data)
+        parts = [masked_sum_part(f, m) for f, m in zip(feats, keep)]
+        assert np.array_equal(pixel_weighted_combine(parts, c)[0].data, taped.data)
 
 
 def test_fs_protocol_scores_high_on_separable_world(separable_world):

@@ -17,10 +17,11 @@ from .prototypes import (
     SupportSample,
     SupportSet,
     classify,
-    form_novel_prototype,
     fuse_prototype,
     gamma_forward,
-    pool_prototype,
+    masked_sum_part,
+    mean_of_shots,
+    pixel_weighted_combine,
     register_novel_classes,
 )
 from .protocols import run_ablation, run_fs_protocol, run_gfs_protocol
@@ -46,7 +47,6 @@ __all__ = [
     "build_dataset",
     "classify",
     "extract_features",
-    "form_novel_prototype",
     "from_train_state",
     "fuse_prototype",
     "gamma_forward",
@@ -55,9 +55,11 @@ __all__ = [
     "iou_per_class",
     "load_manifest",
     "make_variant",
+    "masked_sum_part",
+    "mean_of_shots",
     "miou",
     "op_forward",
-    "pool_prototype",
+    "pixel_weighted_combine",
     "register_novel_classes",
     "run_ablation",
     "run_fs_protocol",

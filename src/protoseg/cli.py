@@ -155,6 +155,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_register(args) -> int:
+    if args.seed < 0:
+        raise ConfigError(f"--seed needs an integer >= 0, got {args.seed}")
     model = load_checkpoint(args.model)
     if args.gamma is not None:
         model = with_fixed_gamma(model, args.gamma)
@@ -184,7 +186,12 @@ def cmd_predict(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    seeds = _int_list(args.seeds, "--seeds", 0)
+    if args.seeds is None:
+        seeds = DEFAULT_SEEDS if args.protocol == "gfs" else DEFAULT_SEEDS[:1]
+    else:
+        seeds = _int_list(args.seeds, "--seeds", 0)
+        if args.protocol == "fs" and len(seeds) > 1:
+            raise ConfigError(f"the fs protocol takes one seed, got --seeds {args.seeds!r}")
     if args.shots is not None and args.shots < 1:
         raise ConfigError("--shots must be >= 1; omit it for a base-only gfs pass")
     model = load_checkpoint(args.model)
@@ -303,7 +310,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--protocol", choices=("gfs", "fs"), default="gfs")
     p.add_argument("--shots", type=int, help="omit for a base-only gfs pass")
-    p.add_argument("--seeds", default=SEEDS, help="comma-separated support-sampling seeds")
+    p.add_argument(
+        "--seeds",
+        help=f"comma-separated support-sampling seeds (default: {SEEDS} for gfs; "
+        f"fs takes one, default {DEFAULT_SEEDS[0]})",
+    )
     p.add_argument("--episodes", type=int, default=DEFAULT_FS_EPISODES)
     p.add_argument("--gamma", type=float, help="fixed gate of capl_te, convg_gamma or amp_gamma")
     p.add_argument("--report", required=True, help="output report.json")

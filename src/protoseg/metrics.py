@@ -25,7 +25,10 @@ class ConfusionMatrix:
         self.class_ids = tuple(sorted(int(i) for i in class_ids))
         if len(set(self.class_ids)) != len(self.class_ids):
             raise DataError("duplicate class ids")
-        self._index = {cid: i for i, cid in enumerate(self.class_ids)}
+        # class id -> matrix index; -1 marks an id that is not registered
+        self._lut = np.full(max(self.class_ids, default=-1) + 1, -1, dtype=np.int64)
+        for i, cid in enumerate(self.class_ids):
+            self._lut[cid] = i
         n = len(self.class_ids)
         self.counts = np.zeros((n, n), dtype=np.int64)
 
@@ -52,13 +55,9 @@ class ConfusionMatrix:
         return self
 
     def _remap(self, values: np.ndarray, what: str) -> np.ndarray:
-        lut_size = max(self.class_ids) + 1
-        lut = np.full(lut_size, -1, dtype=np.int64)
-        for cid, i in self._index.items():
-            lut[cid] = i
-        if values.min() < 0 or values.max() >= lut_size:
+        if values.min() < 0 or values.max() >= len(self._lut):
             raise DataError(f"unregistered class id in {what}")
-        mapped = lut[values]
+        mapped = self._lut[values]
         if (mapped < 0).any():
             raise DataError(f"unregistered class id in {what}")
         return mapped

@@ -34,7 +34,6 @@ from .prototypes import (
     mean_of_shots,
     pixel_weighted_combine,
     register_novel_classes,
-    shot_prototype,
 )
 from .scenes import DatasetManifest, load_pair, sample_support_set
 from .tensor import IGNORE_LABEL, Tensor
@@ -138,8 +137,9 @@ def run_fs_protocol(
     a query scene containing the class. Reports the class-wise mean.
 
     Each pool scene is loaded, extracted and pooled once per call, the first
-    time an episode draws it; later episodes reuse its foreground mean and
-    background sum, so the prototypes are bitwise those of re-extraction."""
+    time an episode draws it; later episodes reuse its foreground and
+    background masked sums, so the prototypes are bitwise those of
+    re-extraction."""
     if episodes < 1:
         raise ConfigError("episodes must be >= 1")
     if k < 1:
@@ -157,7 +157,7 @@ def run_fs_protocol(
         pools[u] = manifest.support_pool_for(u, k)
 
     test_feats: dict[int, Tensor] = {}
-    # (class, pool index) -> (foreground pooled mean, background (masked sum, pixel count))
+    # (class, pool index) -> foreground and background masked_sum_part
     parts: dict[tuple[int, int], tuple] = {}
     rng = np.random.default_rng(seed)
     matrices = {u: ConfusionMatrix([0, 1]) for u in novel_ids}
@@ -169,7 +169,7 @@ def run_fs_protocol(
                 image, mask = load_pair(manifest, pools[u][i])
                 feats = extract_features(model.backbone, image)
                 background = (mask != u) & (mask != IGNORE_LABEL)
-                parts[u, i] = (shot_prototype(feats, mask == u), masked_sum_part(feats, background))
+                parts[u, i] = (masked_sum_part(feats, mask == u), masked_sum_part(feats, background))
         fg = mean_of_shots([parts[u, i][0] for i in picks]).data
         bg = pixel_weighted_combine([parts[u, i][1] for i in picks], len(fg))[0].data
         clf = make_classifier(

@@ -167,46 +167,34 @@ def init_gamma_net(c: int, seed: int) -> GammaNet:
 # ---------------------------------------------------------------------------
 
 
-def pool_prototype(features: Tensor, mask: np.ndarray) -> Tensor:
-    """Mask-average pooling: mean feature vector over set mask pixels."""
-    m = np.asarray(mask)
-    count = int(np.count_nonzero(m))
-    if count == 0:
-        raise EmptyMaskError("mask selects no pixels")
-    return T.div_scalar(T.masked_sum(features, m), count)
-
-
-def shot_prototype(features: Tensor, mask: np.ndarray) -> Tensor | None:
-    """Per-shot part of ``form_novel_prototype``; None for an empty mask."""
-    return pool_prototype(features, mask) if np.count_nonzero(mask) else None
-
-
-def mean_of_shots(pooled: list[Tensor | None]) -> Tensor:
-    """Combine step of ``form_novel_prototype``: the non-None parts' sum over their number."""
-    pooled = [p for p in pooled if p is not None]
-    if not pooled:
-        raise EmptyMaskError("every shot has an empty mask")
-    return T.div_scalar(functools.reduce(T.add, pooled), len(pooled))
-
-
-def form_novel_prototype(shots: list[tuple[Tensor, np.ndarray]]) -> Tensor:
-    """Shot-level mean of per-shot masked means; empty-mask shots are skipped.
-
-    Distinct from context accumulation: every contributing shot carries equal
-    weight regardless of its pixel count.
-    """
-    return mean_of_shots([shot_prototype(features, mask) for features, mask in shots])
-
-
 def masked_sum_part(features: Tensor, mask: np.ndarray) -> tuple[Tensor, int] | None:
-    """Per-sample part of ``pixel_weighted_mean``: (masked sum, pixel count); None if empty."""
+    """Per-sample part of both pooling rules: (masked sum, pixel count); None if empty."""
     n = int(np.count_nonzero(mask))
     return (T.masked_sum(features, mask), n) if n else None
 
 
+def mean_of_shots(parts) -> Tensor:
+    """Shot-level rule: the mean of the non-empty parts' masked means.
+
+    Every contributing shot carries equal weight regardless of its pixel
+    count; empty parts (None) are skipped, and an ``EmptyMaskError`` is raised
+    when every part is empty.
+    """
+    means = [T.div_scalar(total, n) for total, n in filter(None, parts)]
+    if not means:
+        raise EmptyMaskError("every shot has an empty mask")
+    return T.div_scalar(functools.reduce(T.add, means), len(means))
+
+
 def pixel_weighted_combine(parts, dim: int) -> tuple[Tensor, int]:
-    """Combine step of ``pixel_weighted_mean``: the non-None parts' sums, added as ``parts``
-    yields them, over their total count; a zero vector of width ``dim`` when there are none."""
+    """Pixel-weighted rule: the non-empty parts' sums, added as ``parts``
+    yields them, over their total pixel count, and that count.
+
+    All pixels are pooled before dividing; with no pixel at all the result is
+    the zero vector of width ``dim`` with count 0. Given a generator of parts,
+    each masked sum is taken just before it is added, so on a tape the
+    records interleave sample by sample.
+    """
     total, count = None, 0
     for part, n in filter(None, parts):
         total = part if total is None else T.add(total, part)
@@ -214,32 +202,6 @@ def pixel_weighted_combine(parts, dim: int) -> tuple[Tensor, int]:
     if count == 0:
         return Tensor(np.zeros(dim)), 0
     return T.div_scalar(total, count), count
-
-
-def pixel_weighted_mean(features: list[Tensor], masks: list[np.ndarray]) -> tuple[Tensor, int]:
-    """Mean feature vector over the set pixels of every mask, with all pixels
-    pooled before dividing, and the pixel count.
-
-    Samples with an empty mask are skipped; when no pixel is set at all the
-    result is the zero vector with count 0. Each masked sum is taken just
-    before it is added, so on a tape the records interleave sample by sample.
-    """
-    parts = (masked_sum_part(feat, m) for feat, m in zip(features, masks))
-    return pixel_weighted_combine(parts, features[0].shape[-1] if features else 0)
-
-
-def accumulate_context_prototype(
-    supports: SupportSet, features: list[Tensor], base_class: int
-) -> tuple[Tensor, int]:
-    """Pixel-count-weighted mean of a base class over every support sample.
-
-    Sums masked features and pixel counts across all shots of all novel
-    classes before dividing; a class that never appears yields the zero
-    vector with count 0.
-    """
-    if len(features) != len(supports.samples):
-        raise ShapeError("features must align 1:1 with support samples")
-    return pixel_weighted_mean(features, [s.mask == base_class for s in supports.samples])
 
 
 # ---------------------------------------------------------------------------
@@ -312,14 +274,14 @@ def register_novel_classes(
 
     novel_rows: dict[int, np.ndarray] = {}
     for nid in declared:
-        shots = [
-            (feat, sample.mask == nid)
+        parts = [
+            masked_sum_part(feat, sample.mask == nid)
             for sample, feat in zip(supports.samples, features)
             if sample.novel_class == nid
         ]
-        if not any(np.count_nonzero(m) for _, m in shots):
+        if not any(parts):
             raise EmptyMaskError(f"novel class {nid} has no pixels in any shot")
-        novel_rows[nid] = form_novel_prototype(shots).data
+        novel_rows[nid] = mean_of_shots(parts).data
 
     new_ids = list(classifier.class_ids)
     new_rows = [classifier.weights[i].copy() for i in range(classifier.num_classes)]
@@ -327,7 +289,8 @@ def register_novel_classes(
         for idx, cid in enumerate(classifier.class_ids):
             if classifier.roles[cid] != ROLE_BASE:
                 continue
-            p_feat, count = accumulate_context_prototype(supports, features, cid)
+            parts = (masked_sum_part(f, s.mask == cid) for s, f in zip(supports.samples, features))
+            p_feat, count = pixel_weighted_combine(parts, classifier.embed_dim)
             if count == 0:
                 continue
             p_cls = Tensor(classifier.weights[idx])

@@ -31,8 +31,9 @@ from .prototypes import (
     gamma_forward,
     init_gamma_net,
     make_classifier,
+    masked_sum_part,
     named_parameters,
-    pixel_weighted_mean,
+    pixel_weighted_combine,
 )
 from .scenes import DatasetManifest, load_pair
 from .tensor import IGNORE_LABEL, Tape, Tensor, backward
@@ -143,19 +144,6 @@ def select_fake_classes(batch: TrainBatch, rng: np.random.Generator) -> FakeSpli
     return FakeSplit(fake_novel, fake_context)
 
 
-def pooled_class_means(
-    feats: list[Tensor], masks: list[np.ndarray], class_ids
-) -> dict[int, Tensor]:
-    """Pixel-weighted mean feature per class over the given samples: all
-    pixels of all samples pooled before dividing."""
-    out: dict[int, Tensor] = {}
-    for cid in class_ids:
-        mean, count = pixel_weighted_mean(feats, [mask == cid for mask in masks])
-        if count:
-            out[cid] = mean
-    return out
-
-
 def build_updated_classifier(
     weights: Tensor,
     class_ids: tuple[int, ...],
@@ -167,8 +155,14 @@ def build_updated_classifier(
     """Assemble the updated weight matrix row by row; gradients flow through
     the pooled means and the gate. Rows outside the split are passed through.
     """
-    wanted = set(split.fake_novel) | set(split.fake_context)
-    means = pooled_class_means(support_feats, support_masks, sorted(wanted))
+    means: dict[int, Tensor] = {}
+    for cid in sorted(set(split.fake_novel) | set(split.fake_context)):
+        # a generator, not a list: the tape then records each masked sum just
+        # before its add, and the gradient bits depend on that record order
+        parts = (masked_sum_part(f, m == cid) for f, m in zip(support_feats, support_masks))
+        mean, count = pixel_weighted_combine(parts, weights.shape[1])
+        if count:
+            means[cid] = mean
     rows = []
     gammas: list[float] = []
     for idx, cid in enumerate(class_ids):

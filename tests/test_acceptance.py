@@ -26,12 +26,12 @@ from protoseg.model import EvalModel
 from protoseg.prototypes import (
     SupportSample,
     SupportSet,
-    accumulate_context_prototype,
     classify,
-    form_novel_prototype,
     gamma_forward,
     init_gamma_net,
-    pool_prototype,
+    masked_sum_part,
+    mean_of_shots,
+    pixel_weighted_combine,
     register_novel_classes,
 )
 from protoseg.protocols import model_for_variant, run_gfs_protocol, write_ablation_csv
@@ -114,7 +114,7 @@ def grid(tmp_path_factory):
 def test_criterion_1_gradient_suite():
     t0 = time.time()
     op_reports = run_op_checks(trials=100)
-    e2e_reports = run_end_to_end_check(c=8, h=8, w=8, batch=4)
+    e2e_reports = run_end_to_end_check()
     elapsed = time.time() - t0
     failures = [k for k, r in op_reports + e2e_reports if not r.passed]
     worst = max(r.max_rel_err for _, r in op_reports + e2e_reports)
@@ -146,6 +146,11 @@ def _loop_pool(features, mask):
     return acc, n
 
 
+def _context(supports, features, base_class):
+    parts = (masked_sum_part(f, s.mask == base_class) for s, f in zip(supports.samples, features))
+    return pixel_weighted_combine(parts, features[0].shape[-1])
+
+
 def test_criterion_2_oracle_equivalence():
     rng = np.random.default_rng(2024)
     exact = True
@@ -155,7 +160,7 @@ def test_criterion_2_oracle_equivalence():
         if mask.sum() == 0:
             mask[0, 0] = 1
         want, n = _loop_pool(feats, mask)
-        got = pool_prototype(Tensor(feats), mask).data
+        got = mean_of_shots([masked_sum_part(Tensor(feats), mask)]).data
         exact &= bool(np.array_equal(got, want / n))
 
     # shot-level mean vs pixel-weighted mean on unequal pixel counts
@@ -173,8 +178,9 @@ def test_criterion_2_oracle_equivalence():
             SupportSample(Tensor(np.zeros((1, 4, 3))), m2, 9),
         ]
     )
-    shot_mean = form_novel_prototype([(Tensor(f1), m1 == 3), (Tensor(f2), m2 == 3)]).data
-    pixel_mean, count = accumulate_context_prototype(supports, [Tensor(f1), Tensor(f2)], 3)
+    parts = [masked_sum_part(Tensor(f1), m1 == 3), masked_sum_part(Tensor(f2), m2 == 3)]
+    shot_mean = mean_of_shots(parts).data
+    pixel_mean, count = _context(supports, [Tensor(f1), Tensor(f2)], 3)
     case = (
         np.array_equal(shot_mean, [2.0, 0.0])
         and np.array_equal(pixel_mean.data, [2.5, 0.0])
@@ -193,7 +199,7 @@ def test_criterion_2_oracle_equivalence():
                 SupportSample(Tensor(np.zeros((3, 5, 3))), mb, 9),
             ]
         )
-        vec, n = accumulate_context_prototype(sup, [Tensor(fa), Tensor(fb)], 1)
+        vec, n = _context(sup, [Tensor(fa), Tensor(fb)], 1)
         acc_a, n_a = _loop_pool(fa, ma == 1)
         acc_b, n_b = _loop_pool(fb, mb == 1)
         if n_a + n_b:

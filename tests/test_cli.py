@@ -315,6 +315,19 @@ def test_eval_fs_protocol(workspace, tmp_path):
     assert sha(report_path) == sha(again)
 
 
+def test_eval_without_seeds_uses_the_canonical_seeds(workspace, tmp_path):
+    base = ["eval", "--model", workspace["ckpt"], "--data", workspace["manifest"], "--shots", "1"]
+    gfs = str(tmp_path / "gfs.json")
+    assert main(base + ["--report", gfs]) == 0
+    assert json.loads(open(gfs).read())["seeds"] == [123, 321, 456, 654, 999]
+    fs, fs_123 = str(tmp_path / "fs.json"), str(tmp_path / "fs_123.json")
+    fs_args = base + ["--protocol", "fs", "--episodes", "4"]
+    assert main(fs_args + ["--report", fs]) == 0
+    assert main(fs_args + ["--seeds", "123", "--report", fs_123]) == 0
+    assert json.loads(open(fs).read())["seed"] == 123
+    assert sha(fs) == sha(fs_123)
+
+
 def test_ablate_single_variant(workspace, tmp_path):
     out = str(tmp_path / "ab.csv")
     assert (
@@ -351,7 +364,15 @@ def test_ablate_cache_under_a_file_exits_3(workspace, tmp_path):
         pytest.param(
             "eval", ("--protocol", "fs", "--shots", "1", "--seeds", ","), id="fs-seeds-empty"
         ),
+        pytest.param("eval", ("--seeds", ""), id="eval-seeds-blank"),
+        pytest.param(
+            "eval", ("--protocol", "fs", "--shots", "1", "--seeds", ""), id="fs-seeds-blank"
+        ),
+        pytest.param(
+            "eval", ("--protocol", "fs", "--shots", "1", "--seeds", "7,8"), id="fs-two-seeds"
+        ),
         pytest.param("eval", ("--shots", "0"), id="eval-shots-zero"),
+        pytest.param("register", ("--seed", "-1"), id="register-seed-negative"),
     ],
 )
 def test_bad_list_or_shot_flag_exits_2_and_writes_nothing(workspace, tmp_path, command, flags):
@@ -362,6 +383,9 @@ def test_bad_list_or_shot_flag_exits_2_and_writes_nothing(workspace, tmp_path, c
     if command == "ablate":
         args = ["ablate", "--config", workspace["train_cfg"], "--data", data, "--out", out,
                 "--cache", str(tmp_path / "cache")]
+    elif command == "register":  # an absent model: the seed is checked before it is read
+        args = ["register", "--model", str(tmp_path / "absent.ckpt"), "--data", data,
+                "--shots", "1", "--out", out]
     else:
         args = ["eval", "--model", workspace["ckpt"], "--data", data, "--report", out]
     assert main(args + list(flags)) == 2

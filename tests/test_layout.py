@@ -22,6 +22,11 @@ def test_one_atomic_writer_and_no_thread_pool():
     assert "concurrent.futures" not in text
 
 
+def test_one_masked_sum_taker():
+    # both pooling rules take their masked sums from masked_sum_part
+    assert _source().count("T.masked_sum(") == 1
+
+
 def test_one_json_file_reader():
     assert _source().count("json.load(") == 1
 

@@ -117,9 +117,10 @@ def fs_oracle(model, manifest, k, episodes, seed):
     from protoseg.metrics import ConfusionMatrix, iou_per_class
     from protoseg.prototypes import (
         classify,
-        form_novel_prototype,
         make_classifier,
-        pixel_weighted_mean,
+        masked_sum_part,
+        mean_of_shots,
+        pixel_weighted_combine,
     )
     from protoseg.protocols import _binary_truth
     from protoseg.scenes import load_pair
@@ -138,9 +139,9 @@ def fs_oracle(model, manifest, k, episodes, seed):
         shots = [load_pair(manifest, pools[u][i]) for i in picks]
         feats = [extract_features(model.backbone, image) for image, _ in shots]
         masks = [mask for _, mask in shots]
-        fg = form_novel_prototype([(f, m == u) for f, m in zip(feats, masks)]).data
+        fg = mean_of_shots([masked_sum_part(f, m == u) for f, m in zip(feats, masks)]).data
         keep = [(m != u) & (m != IGNORE_LABEL) for m in masks]
-        bg = pixel_weighted_mean(feats, keep)[0].data
+        bg = pixel_weighted_combine(map(masked_sum_part, feats, keep), len(fg))[0].data
         clf = make_classifier(
             [0, 1], np.stack([bg, fg]), {0: "base", 1: "novel"}, model.classifier.alpha
         )
@@ -289,9 +290,10 @@ def test_fs_self_episode_iou_on_separable_world(separable_world):
     from protoseg.metrics import ConfusionMatrix, iou_per_class
     from protoseg.prototypes import (
         classify,
-        form_novel_prototype,
         make_classifier,
-        pixel_weighted_mean,
+        masked_sum_part,
+        mean_of_shots,
+        pixel_weighted_combine,
     )
     from protoseg.protocols import _binary_truth
     from protoseg.scenes import load_pair
@@ -303,8 +305,9 @@ def test_fs_self_episode_iou_on_separable_world(separable_world):
         image, mask = load_pair(manifest, entry)
         u = entry.novel_id
         feats = extract_features(model.backbone, image)
-        fg = form_novel_prototype([(feats, mask == u)]).data
-        bg = pixel_weighted_mean([feats], [(mask != u) & (mask != IGNORE_LABEL)])[0].data
+        fg = mean_of_shots([masked_sum_part(feats, mask == u)]).data
+        background = (mask != u) & (mask != IGNORE_LABEL)
+        bg = pixel_weighted_combine([masked_sum_part(feats, background)], len(fg))[0].data
         clf = make_classifier(
             [0, 1], np.stack([bg, fg]), {0: "base", 1: "novel"}, model.classifier.alpha
         )

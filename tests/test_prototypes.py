@@ -15,14 +15,14 @@ from protoseg.prototypes import (
     GammaNet,
     SupportSample,
     SupportSet,
-    accumulate_context_prototype,
     classify,
-    form_novel_prototype,
     fuse_prototype,
     gamma_forward,
     init_gamma_net,
     make_classifier,
-    pool_prototype,
+    masked_sum_part,
+    mean_of_shots,
+    pixel_weighted_combine,
     register_novel_classes,
 )
 from protoseg.tensor import Tensor
@@ -41,6 +41,12 @@ def pooled_loop_oracle(features: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return acc / n
 
 
+def context_prototype(supports, features, base_class):
+    """Registration's pixel-weighted context rule for one base class."""
+    parts = (masked_sum_part(f, s.mask == base_class) for s, f in zip(supports.samples, features))
+    return pixel_weighted_combine(parts, features[0].shape[-1])
+
+
 # ---------------------------------------------------------------------------
 # pooling
 # ---------------------------------------------------------------------------
@@ -52,18 +58,18 @@ def two_pixel_features():
 
 
 def test_pool_single_pixel():
-    out = pool_prototype(two_pixel_features(), np.array([[1, 0]]))
+    out = mean_of_shots([masked_sum_part(two_pixel_features(), np.array([[1, 0]]))])
     np.testing.assert_array_equal(out.data, [1.0, 0.0])
 
 
 def test_pool_two_pixel_mean():
-    out = pool_prototype(two_pixel_features(), np.array([[1, 1]]))
+    out = mean_of_shots([masked_sum_part(two_pixel_features(), np.array([[1, 1]]))])
     np.testing.assert_array_equal(out.data, [2.0, 0.0])
 
 
 def test_pool_empty_mask_raises():
     with pytest.raises(EmptyMaskError):
-        pool_prototype(two_pixel_features(), np.array([[0, 0]]))
+        mean_of_shots([masked_sum_part(two_pixel_features(), np.array([[0, 0]]))])
 
 
 def test_pool_matches_loop_oracle_exactly():
@@ -73,16 +79,15 @@ def test_pool_matches_loop_oracle_exactly():
         mask = (rng.random((6, 5)) < 0.5).astype(int)
         if mask.sum() == 0:
             mask[2, 2] = 1
-        out = pool_prototype(Tensor(feats), mask)
+        out = mean_of_shots([masked_sum_part(Tensor(feats), mask)])
         assert np.array_equal(out.data, pooled_loop_oracle(feats, mask))
 
 
 def test_form_novel_single_shot_equals_pool():
     feats = two_pixel_features()
     mask = np.array([[1, 1]])
-    a = form_novel_prototype([(feats, mask)])
-    b = pool_prototype(feats, mask)
-    assert np.array_equal(a.data, b.data)
+    a = mean_of_shots([masked_sum_part(feats, mask)])
+    assert np.array_equal(a.data, pooled_loop_oracle(feats.data, mask))
 
 
 def test_form_novel_equal_weight_per_shot():
@@ -92,16 +97,17 @@ def test_form_novel_equal_weight_per_shot():
         Tensor(np.array([[[3.0, 0.0], [3.0, 0.0], [3.0, 0.0]]])),
         np.array([[1, 1, 1]]),
     )
-    out = form_novel_prototype([shot_a, shot_b])
+    out = mean_of_shots([masked_sum_part(*shot_a), masked_sum_part(*shot_b)])
     np.testing.assert_array_equal(out.data, [2.0, 0.0])
 
 
 def test_form_novel_skips_empty_shots_errors_when_all_empty():
     feats = two_pixel_features()
-    out = form_novel_prototype([(feats, np.array([[0, 0]])), (feats, np.array([[1, 0]]))])
+    empty, one = np.array([[0, 0]]), np.array([[1, 0]])
+    out = mean_of_shots([masked_sum_part(feats, empty), masked_sum_part(feats, one)])
     np.testing.assert_array_equal(out.data, [1.0, 0.0])
     with pytest.raises(EmptyMaskError):
-        form_novel_prototype([(feats, np.array([[0, 0]]))])
+        mean_of_shots([masked_sum_part(feats, empty)])
 
 
 def _supports_for_accumulation():
@@ -126,23 +132,21 @@ def _supports_for_accumulation():
 
 def test_accumulate_single_sample():
     supports, feats = _supports_for_accumulation()
-    vec, count = accumulate_context_prototype(
-        SupportSet(supports.samples[:1]), feats[:1], base_class=3
-    )
+    vec, count = context_prototype(SupportSet(supports.samples[:1]), feats[:1], base_class=3)
     np.testing.assert_array_equal(vec.data, [2.0, 0.0])
     assert count == 1
 
 
 def test_accumulate_is_pixel_weighted_across_samples():
     supports, feats = _supports_for_accumulation()
-    vec, count = accumulate_context_prototype(supports, feats, base_class=3)
+    vec, count = context_prototype(supports, feats, base_class=3)
     np.testing.assert_array_equal(vec.data, [2.0, 0.0])  # (2 + 6) / 4
     assert count == 4
 
 
 def test_accumulate_absent_class_gives_zero_count():
     supports, feats = _supports_for_accumulation()
-    vec, count = accumulate_context_prototype(supports, feats, base_class=7)
+    vec, count = context_prototype(supports, feats, base_class=7)
     np.testing.assert_array_equal(vec.data, [0.0, 0.0])
     assert count == 0
 
@@ -161,8 +165,8 @@ def test_shot_mean_vs_pixel_weighted_mean_disagree_on_unequal_counts():
         (feats[0], supports.samples[0].mask == 3),
         (feats[1], supports.samples[1].mask == 3),
     ]
-    eq1 = form_novel_prototype(shots)
-    eq3, count = accumulate_context_prototype(supports, feats, base_class=3)
+    eq1 = mean_of_shots([masked_sum_part(f, m) for f, m in shots])
+    eq3, count = context_prototype(supports, feats, base_class=3)
     np.testing.assert_array_equal(eq1.data, [2.0, 0.0])
     np.testing.assert_array_equal(eq3.data, [2.5, 0.0])
     assert count == 4
@@ -197,8 +201,8 @@ def test_accumulation_equals_shot_mean_when_counts_equal():
         ]
     )
     feats = [Tensor(f1), Tensor(f2)]
-    eq1 = form_novel_prototype([(feats[0], m1 == 3), (feats[1], m2 == 3)])
-    eq3, _ = accumulate_context_prototype(supports, feats, base_class=3)
+    eq1 = mean_of_shots([masked_sum_part(feats[0], m1 == 3), masked_sum_part(feats[1], m2 == 3)])
+    eq3, _ = context_prototype(supports, feats, base_class=3)
     np.testing.assert_allclose(eq1.data, eq3.data, rtol=0, atol=1e-15)
 
 

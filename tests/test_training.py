@@ -6,7 +6,7 @@ import pytest
 import protoseg.tensor as T
 from protoseg.backbone import extract_features, init_backbone
 from protoseg.errors import ConfigError, DataError, DegenerateBatchError, IoError
-from protoseg.prototypes import init_gamma_net
+from protoseg.prototypes import init_gamma_net, masked_sum_part, pixel_weighted_combine
 from protoseg.tensor import Tape, Tensor, backward, gradient_check
 from protoseg.training import (
     FakeSplit,
@@ -18,7 +18,6 @@ from protoseg.training import (
     init_state,
     make_variant,
     partition_batch,
-    pooled_class_means,
     select_fake_classes,
     train,
     train_step,
@@ -153,7 +152,7 @@ def test_updated_classifier_fake_context_midpoint_with_zero_net():
         Tensor(np.zeros((c, 1))),
         Tensor(np.zeros(1)),
     )
-    mean = pooled_class_means(feats, masks, [2])[2].data
+    mean = pixel_weighted_combine(map(masked_sum_part, feats, [m == 2 for m in masks]), c)[0].data
     updated, gammas = build_updated_classifier(
         weights, (0, 1, 2), zero_net, feats, masks, FakeSplit((), (2,))
     )

@@ -32,7 +32,7 @@ from .errors import (
     UnsupportedOp,
 )
 from .netpbm import atomic_write, read_json, read_ppm, write_pgm
-from .prototypes import classify
+from .prototypes import check_gamma, classify
 from .protocols import (
     DEFAULT_FS_EPISODES,
     DEFAULT_SEEDS,
@@ -155,8 +155,13 @@ def cmd_train(args) -> int:
 
 
 def cmd_register(args) -> int:
+    # every flag is checked before the checkpoint or manifest is read
+    if args.shots < 1:
+        raise ConfigError(f"--shots needs an integer >= 1, got {args.shots}")
     if args.seed < 0:
         raise ConfigError(f"--seed needs an integer >= 0, got {args.seed}")
+    if args.gamma is not None:
+        check_gamma(args.gamma)
     model = load_checkpoint(args.model)
     if args.gamma is not None:
         model = with_fixed_gamma(model, args.gamma)
@@ -194,6 +199,12 @@ def cmd_eval(args) -> int:
             raise ConfigError(f"the fs protocol takes one seed, got --seeds {args.seeds!r}")
     if args.shots is not None and args.shots < 1:
         raise ConfigError("--shots must be >= 1; omit it for a base-only gfs pass")
+    if args.protocol == "fs" and args.shots is None:
+        raise ConfigError("the fs protocol requires --shots")
+    if args.protocol == "fs" and args.episodes < 1:
+        raise ConfigError(f"--episodes needs an integer >= 1, got {args.episodes}")
+    if args.gamma is not None:
+        check_gamma(args.gamma)
     model = load_checkpoint(args.model)
     if args.gamma is not None:
         model = with_fixed_gamma(model, args.gamma)
@@ -210,8 +221,6 @@ def cmd_eval(args) -> int:
             },
         )
     else:
-        if not args.shots:
-            raise ConfigError("the fs protocol requires --shots")
         result = run_fs_protocol(
             model, manifest, args.shots, args.episodes, seeds[0]
         )

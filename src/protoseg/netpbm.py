@@ -2,9 +2,9 @@
 primitives the whole package shares: the atomic writer, directory creation
 and the JSON document reader.
 
-Images map [0, 1] floats to bytes by round(v * 255) and back by /255, so a
-write-read round trip is lossless at 8-bit quantization; masks round-trip
-bitwise.
+Images map [0, 1] floats to bytes by round(v * 255) and back to float32 by
+/255, so a write-read round trip is lossless at 8-bit quantization; masks
+round-trip bitwise.
 """
 
 from __future__ import annotations
@@ -115,6 +115,8 @@ def write_ppm(path: str, image: np.ndarray) -> None:
 
 
 def read_ppm(path: str) -> np.ndarray:
+    """Read a binary P6 file as an (h, w, 3) float32 image: byte k becomes
+    float32(k) / 255. float32 is the precision the backbone then runs at."""
     try:
         data = open(path, "rb").read()
     except OSError as exc:
@@ -125,7 +127,7 @@ def read_ppm(path: str) -> np.ndarray:
     if len(payload) != need:
         raise FormatError(f"{path}: payload is {len(payload)} bytes, need {need}")
     raw = np.frombuffer(payload, dtype=np.uint8).reshape(h, w, 3)
-    return raw.astype(np.float64) / MAXVAL
+    return raw.astype(np.float32) / MAXVAL
 
 
 def write_pgm(path: str, mask: np.ndarray) -> None:

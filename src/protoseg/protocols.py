@@ -21,13 +21,14 @@ import numpy as np
 
 from . import checkpoint as ckpt
 from .backbone import extract_features
-from .errors import ConfigError, DataError, ProtosegError, RangeError
+from .errors import ConfigError, DataError, ProtosegError
 from .metrics import ConfusionMatrix, MetricsReport, iou_per_class, mean_report, summarize_confusion
 from .model import EvalModel, from_train_state
 from .netpbm import atomic_write, make_dirs
 from .prototypes import (
     ROLE_NOVEL,
     SupportSet,
+    check_gamma,
     classify,
     make_classifier,
     masked_sum_part,
@@ -63,8 +64,7 @@ def with_fixed_gamma(model: EvalModel, gamma: float) -> EvalModel:
     """The model with ``gamma`` as the fixed gate its variant registers with;
     a ``RangeError`` for a gamma outside [0, 1] (NaN included) and a
     ``ConfigError`` for a variant with an adaptive gate or none."""
-    if not 0.0 <= gamma <= 1.0:
-        raise RangeError(f"fixed gamma {gamma} outside [0, 1]")
+    check_gamma(gamma)
     mode = make_variant(model.variant_kind).gamma_mode
     if mode not in ("converged", "amp"):
         raise ConfigError(f"variant {model.variant_kind} takes no fixed gamma (gamma mode {mode})")

@@ -219,6 +219,13 @@ def gamma_forward(net: GammaNet, p_cls: Tensor, p_feat: Tensor) -> Tensor:
     return T.reshape(out, ())
 
 
+def check_gamma(gamma) -> None:
+    """The one range rule for a gate value: a ``RangeError`` outside [0, 1],
+    NaN included."""
+    if not 0.0 <= gamma <= 1.0:
+        raise RangeError(f"gamma {gamma} outside [0, 1]")
+
+
 def fuse_prototype(p_cls: Tensor, p_feat: Tensor, gamma) -> Tensor:
     """Convex combination gamma * p_cls + (1 - gamma) * p_feat.
 
@@ -231,11 +238,9 @@ def fuse_prototype(p_cls: Tensor, p_feat: Tensor, gamma) -> Tensor:
         g = float(gamma.data.reshape(()))
         if not np.isfinite(g):
             raise NumericalError(f"the gate computed gamma {g}")
-        if not 0.0 <= g <= 1.0:
-            raise RangeError(f"gamma {g} outside [0, 1]")
+        check_gamma(g)
         return T.add(T.mul(p_cls, gamma), T.mul(p_feat, T.scale(gamma, -1.0, 1.0)))
-    if not 0.0 <= gamma <= 1.0:
-        raise RangeError(f"gamma {gamma} outside [0, 1]")
+    check_gamma(gamma)
     return T.add(T.scale(p_cls, gamma), T.scale(p_feat, 1.0 - gamma))
 
 
@@ -267,8 +272,8 @@ def register_novel_classes(
     if len(declared) != len(set(declared)):
         raise ConfigError("duplicate novel class ids")
     adaptive = isinstance(gate, GammaNet)  # a fixed gamma may be an int, e.g. JSON 1
-    if gate is not None and not adaptive and not 0.0 <= gate <= 1.0:
-        raise RangeError(f"fixed gamma {gate} outside [0, 1]")
+    if gate is not None and not adaptive:
+        check_gamma(gate)
 
     features = [extract_features(backbone, s.image) for s in supports.samples]
 

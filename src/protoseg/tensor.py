@@ -1,9 +1,14 @@
-"""Dense float64 tensors with tape-based reverse-mode differentiation.
+"""Dense real tensors with tape-based reverse-mode differentiation.
 
-Only the operations the rest of the package needs are implemented, all on
-64-bit reals. Forward results are recorded on the active tape whenever an
-input requires gradients; ``backward`` replays the records in exact reverse
-order and leaves dLoss/dLeaf on every leaf tensor.
+Only the operations the rest of the package needs are implemented. A tensor
+holds float32 or float64: float32 data stays float32 and everything else
+becomes float64. Ops compute at numpy's promoted precision, except conv2d,
+which computes at its input's precision, so a float32 image keeps the whole
+backbone in float32 while the float64 parameters stay float64. Forward
+results are recorded on the active tape whenever an input requires
+gradients; ``backward`` replays the records in exact reverse order, casts
+each gradient to the dtype of the tensor it flows into, and leaves
+dLoss/dLeaf on every leaf tensor.
 
 Reductions that feed the prototype math (``masked_sum``) gather the set
 pixels and accumulate them in row-major pixel order, so they match a
@@ -33,7 +38,9 @@ IGNORE_LABEL = 255
 
 
 class Tensor:
-    """n-dimensional float64 array with an optional gradient slot.
+    """n-dimensional float32 or float64 array with an optional gradient slot.
+
+    A float32 array is kept as it is; any other data is converted to float64.
 
     Tensors are treated as immutable once produced by an op; the trainer is
     the only writer and only between steps.
@@ -42,7 +49,9 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad")
 
     def __init__(self, data, requires_grad: bool = False):
-        arr = np.asarray(data, dtype=np.float64)
+        arr = np.asarray(data)
+        if arr.dtype != np.float32:
+            arr = arr.astype(np.float64, copy=False)
         if not arr.flags.c_contiguous:
             arr = np.ascontiguousarray(arr)
         self.data = arr
@@ -117,6 +126,8 @@ def backward(tape: Tape, loss: Tensor) -> None:
         for tensor, contribution in rec.backward(g):
             if not tensor.requires_grad:
                 continue
+            if contribution.dtype != tensor.data.dtype:
+                contribution = contribution.astype(tensor.data.dtype)
             held = grads.get(id(tensor))
             grads[id(tensor)] = contribution if held is None else held + contribution
     produced = {id(rec.output) for rec in tape.records}
@@ -322,9 +333,10 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     """Stride-1, zero-padded 2-d convolution: x (h, w, cin) -> (h, w, cout).
 
     Kernel is (k, k, cin, cout) with odd k. Implemented as an im2col matrix
-    product; ``dx`` is the transposed convolution, the same im2col of the
-    output gradient times the spatially flipped kernel with cin and cout
-    swapped. Direct-loop oracles in the test suite pin the arithmetic.
+    product at ``x``'s dtype; ``dx`` is the transposed convolution, the same
+    im2col of the output gradient times the spatially flipped kernel with cin
+    and cout swapped. Direct-loop oracles in the test suite pin the
+    arithmetic: exactly for float64, at float32 tolerance for float32.
     """
     if x.data.ndim != 3 or kernel.data.ndim != 4 or bias.data.ndim != 1:
         raise ShapeError("conv2d expects x (h,w,cin), kernel (k,k,cin,cout), bias (cout,)")
@@ -336,15 +348,19 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
         raise ShapeError(f"conv2d: input has {cin} channels, kernel expects {kcin}")
     if bias.shape != (cout,):
         raise ShapeError(f"conv2d: bias {bias.shape} vs cout {cout}")
+    # kernel and bias are cast to the input's dtype once per call; the ``dx``
+    # pullback reuses the cast kernel
+    kern = kernel.data.astype(x.data.dtype, copy=False)
     cols = _im2col(x.data, kh)
-    out = Tensor((cols @ kernel.data.reshape(kh * kw * cin, cout) + bias.data).reshape(h, w, cout))
+    out = cols @ kern.reshape(kh * kw * cin, cout) + bias.data.astype(kern.dtype, copy=False)
+    out = Tensor(out.reshape(h, w, cout))
     need_dx = x.requires_grad
 
     def back(g):
         g2d = g.reshape(h * w, cout)
         grads = [(kernel, (cols.T @ g2d).reshape(kernel.shape)), (bias, g2d.sum(axis=0))]
         if need_dx:
-            flipped = kernel.data[::-1, ::-1].transpose(0, 1, 3, 2).reshape(kh * kw * cout, cin)
+            flipped = kern[::-1, ::-1].transpose(0, 1, 3, 2).reshape(kh * kw * cout, cin)
             grads.append((x, (_im2col(g, kh) @ flipped).reshape(h, w, cin)))
         return grads
 
@@ -367,10 +383,10 @@ def masked_sum(features: Tensor, mask: np.ndarray) -> Tensor:
         raise ShapeError(f"masked_sum: mask {m.shape} vs features {features.shape}")
     picked = m.reshape(-1).astype(bool)
     rows = features.data.reshape(h * w, c)[picked]
-    out = Tensor(np.cumsum(rows, axis=0)[-1] if len(rows) else np.zeros(c))
+    out = Tensor(np.cumsum(rows, axis=0)[-1] if len(rows) else np.zeros(c, rows.dtype))
 
     def back(g):
-        ga = np.zeros((h * w, c))
+        ga = np.zeros((h * w, c), features.data.dtype)
         ga[picked] = g
         return [(features, ga.reshape(h, w, c))]
 

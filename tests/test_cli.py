@@ -372,22 +372,30 @@ def test_ablate_cache_under_a_file_exits_3(workspace, tmp_path):
             "eval", ("--protocol", "fs", "--shots", "1", "--seeds", "7,8"), id="fs-two-seeds"
         ),
         pytest.param("eval", ("--shots", "0"), id="eval-shots-zero"),
+        pytest.param("eval", ("--protocol", "fs"), id="fs-without-shots"),
+        pytest.param(
+            "eval", ("--protocol", "fs", "--shots", "1", "--episodes", "0"), id="fs-episodes-zero"
+        ),
+        pytest.param("eval", ("--shots", "1", "--gamma", "1.5"), id="eval-gamma-above-one"),
+        pytest.param("eval", ("--gamma", "nan"), id="eval-gamma-nan"),
         pytest.param("register", ("--seed", "-1"), id="register-seed-negative"),
+        pytest.param("register", ("--shots", "0"), id="register-shots-zero"),
+        pytest.param("register", ("--gamma", "1.5"), id="register-gamma-above-one"),
     ],
 )
 def test_bad_list_or_shot_flag_exits_2_and_writes_nothing(workspace, tmp_path, command, flags):
-    # the manifest does not exist: exit 2 rather than 3 shows the flags are
-    # checked before any data is read
+    # neither the manifest nor the model exists: exit 2 rather than 3 shows
+    # the flags are checked before any file is read
     data = str(tmp_path / "absent" / "manifest.json")
+    model = str(tmp_path / "absent.ckpt")
     out = str(tmp_path / "out")
     if command == "ablate":
         args = ["ablate", "--config", workspace["train_cfg"], "--data", data, "--out", out,
                 "--cache", str(tmp_path / "cache")]
-    elif command == "register":  # an absent model: the seed is checked before it is read
-        args = ["register", "--model", str(tmp_path / "absent.ckpt"), "--data", data,
-                "--shots", "1", "--out", out]
+    elif command == "register":
+        args = ["register", "--model", model, "--data", data, "--shots", "1", "--out", out]
     else:
-        args = ["eval", "--model", workspace["ckpt"], "--data", data, "--report", out]
+        args = ["eval", "--model", model, "--data", data, "--report", out]
     assert main(args + list(flags)) == 2
     assert os.listdir(tmp_path) == []
 

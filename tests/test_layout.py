@@ -1,11 +1,14 @@
 """Package-wide invariants: one implementation per concept, no unused imports,
-no config field that no caller sets."""
+no config field that no caller sets, no growth in settable values."""
 
+import argparse
 import ast
 import dataclasses
 import json
 import pathlib
 
+from protoseg.cli import build_parser
+from protoseg.scenes import SceneConfig
 from protoseg.training import TrainConfig
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -53,3 +56,35 @@ def test_train_config_has_only_the_fields_the_shipped_config_sets():
     # a training value that no config sets is a constant in training.py
     shipped = json.loads((ROOT / "configs" / "quick.json").read_text())["train"]
     assert {f.name for f in dataclasses.fields(TrainConfig)} == set(shipped)
+
+
+# CLI flags + TrainConfig/SceneConfig fields + defaulted parameters of named
+# functions (36 + 20 + 29) when this guard was added
+SETTABLE_VALUES_CEILING = 85
+
+
+def _settable_values() -> list[str]:
+    (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    knobs = [
+        f"{name} {action.option_strings[0]}"
+        for name, sub in commands.choices.items()
+        for action in sub._actions
+        if action.option_strings and not isinstance(action, argparse._HelpAction)
+    ]
+    knobs += [f"{cls.__name__}.{f.name}" for cls in (TrainConfig, SceneConfig)
+              for f in dataclasses.fields(cls)]
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                named = args.posonlyargs + args.args
+                defaulted = named[len(named) - len(args.defaults):]
+                defaulted += [a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+                knobs += [f"{path.name}:{node.name}({a.arg}=)" for a in defaulted]
+    return knobs
+
+
+def test_settable_values_do_not_grow():
+    # a new flag, config field or defaulted parameter has to replace an old one
+    knobs = _settable_values()
+    assert len(knobs) <= SETTABLE_VALUES_CEILING, "\n".join(knobs)

@@ -133,6 +133,55 @@ def test_conv2d_skips_dx_for_input_without_grad():
     assert np.array_equal(without_dx[id(bc)], with_dx[id(bt)])
 
 
+# ---------------------------------------------------------------------------
+# precision: a float32 input runs the op in float32, parameters stay float64
+# ---------------------------------------------------------------------------
+
+
+def test_tensor_keeps_float32_and_converts_everything_else_to_float64():
+    assert Tensor(np.zeros(3, np.float32)).data.dtype == np.float32
+    for data in (np.arange(3), np.array([True, False]), [1, 2], 3, np.zeros(2, np.float16)):
+        assert Tensor(data).data.dtype == np.float64
+
+
+def test_backward_casts_each_gradient_to_its_tensor_dtype():
+    # float32 activations times float64 weights give float64 products; the
+    # activations' gradient is cast back to float32, the weights' stays float64
+    x = Tensor(np.ones((2, 3), np.float32), requires_grad=True)
+    w = Tensor(np.ones((3, 4)), requires_grad=True)
+    with Tape() as tape:
+        y = T.matmul(x, w)
+        loss = scalarize(y, np.ones(8))
+    backward(tape, loss)
+    assert y.data.dtype == np.float64
+    assert x.grad.dtype == np.float32 and w.grad.dtype == np.float64
+
+
+@pytest.mark.parametrize("cin", [3, 16])
+def test_float32_conv2d_matches_loop_oracle_at_float32_tolerance(cin):
+    rng = np.random.default_rng(300 + cin)
+    x = rng.uniform(-2, 2, (5, 6, cin)).astype(np.float32)
+    k = rng.uniform(-2, 2, (3, 3, cin, 4))
+    b = rng.uniform(-2, 2, 4)
+    g = rng.uniform(-1, 1, (5, 6, 4)).astype(np.float32)
+    xt = Tensor(x, requires_grad=True)
+    kt, bt = Tensor(k, requires_grad=True), Tensor(b, requires_grad=True)
+    with Tape() as tape:
+        out = T.conv2d(xt, kt, bt)
+        loss = scalarize(out, g.reshape(-1))
+    backward(tape, loss)
+    assert out.data.dtype == np.float32 and xt.grad.dtype == np.float32
+    assert kt.grad.dtype == np.float64 and bt.grad.dtype == np.float64
+    # the float64 oracles run on the same float32 values
+    x64, g64 = x.astype(np.float64), g.astype(np.float64)
+    dx, dk, db = conv2d_backward_loop_oracle(x64, k, g64)
+    tol = dict(rtol=1e-5, atol=1e-5)
+    np.testing.assert_allclose(out.data, conv2d_loop_oracle(x64, k, b), **tol)
+    np.testing.assert_allclose(xt.grad, dx, **tol)
+    np.testing.assert_allclose(kt.grad, dk, **tol)
+    np.testing.assert_allclose(bt.grad, db, **tol)
+
+
 def test_conv2d_shape_errors():
     x = Tensor(np.zeros((4, 4, 2)))
     with pytest.raises(ShapeError):

@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 import protoseg.tensor as T
+import protoseg.training as training
 from protoseg.backbone import extract_features, init_backbone
 from protoseg.errors import ConfigError, DataError, DegenerateBatchError, IoError
+from protoseg.netpbm import write_pgm, write_ppm
 from protoseg.prototypes import init_gamma_net, masked_sum_part, pixel_weighted_combine
+from protoseg.scenes import DatasetManifest, PairEntry, load_pair
 from protoseg.tensor import Tape, Tensor, backward, gradient_check
 from protoseg.training import (
     FakeSplit,
@@ -383,6 +386,57 @@ def test_gamma_history_recorded_only_for_context_variants():
     assert 0.0 < capl.converged_gamma() < 1.0
     assert base.gamma_steps == [] and base.converged_gamma() is None
     assert tr.gamma_steps == [] and tr.gammanet is None
+
+
+# ---------------------------------------------------------------------------
+# precision: images set the backbone's dtype, parameters stay float64
+# ---------------------------------------------------------------------------
+
+
+def _reloaded(data: TrainData, directory) -> TrainData:
+    """``data`` written as PPM/PGM files and read back through load_pair."""
+    manifest = DatasetManifest([], 0, 0, [], [], [], base_dir=str(directory))
+    images = []
+    for i, (image, mask) in enumerate(zip(data.images, data.masks)):
+        write_ppm(str(directory / f"{i}.ppm"), image.data)
+        write_pgm(str(directory / f"{i}.pgm"), mask)
+        images.append(load_pair(manifest, PairEntry(f"{i}.ppm", f"{i}.pgm"))[0])
+    return TrainData(images, data.masks, data.class_ids)
+
+
+def test_loaded_images_are_float32_of_their_bytes(tmp_path):
+    k = np.arange(16 * 16 * 3).reshape(16, 16, 3) % 256
+    write_ppm(str(tmp_path / "i.ppm"), k / 255)
+    write_pgm(str(tmp_path / "m.pgm"), np.zeros((16, 16), dtype=np.int64))
+    manifest = DatasetManifest([], 0, 0, [], [], [], base_dir=str(tmp_path))
+    image, _ = load_pair(manifest, PairEntry("i.ppm", "m.pgm"))
+    assert image.data.dtype == np.float32
+    assert np.array_equal(image.data, k.astype(np.float32) / np.float32(255))
+
+
+@pytest.mark.parametrize("reload, feature_dtype", [(True, np.float32), (False, np.float64)])
+def test_capl_step_keeps_parameters_and_velocities_float64(
+    tmp_path, monkeypatch, reload, feature_dtype
+):
+    # loaded images run the backbone in float32; the float64 images of the
+    # gradient audit still run it in float64
+    data = _reloaded(_tiny_data(), tmp_path) if reload else _tiny_data()
+    feature_dtypes = []
+
+    def extract(params, image):
+        out = extract_features(params, image)
+        feature_dtypes.append(out.data.dtype)
+        return out
+
+    monkeypatch.setattr(training, "extract_features", extract)
+    state = init_state(_tiny_config(), data, make_variant("capl"))
+    batch = partition_batch(list(zip(data.images[:4], data.masks[:4])), np.random.default_rng(0))
+    info = train_step(state, batch, np.random.default_rng(1))
+    assert np.isfinite(info["loss"]) and info["mean_gamma"] is not None
+    assert feature_dtypes == [feature_dtype] * 4
+    for name, param in state.parameters():
+        assert param.data.dtype == np.float64 and param.grad is None, name
+        assert state.velocities[name].dtype == np.float64, name
 
 
 # ---------------------------------------------------------------------------

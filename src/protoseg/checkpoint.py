@@ -3,7 +3,7 @@
 Layout (all integers little-endian):
 
     magic "CAPL" | u8 version | u8 endian flag (1 = little) | u16 reserved
-    u32 embed_dim | f64 alpha
+    u32 embed_dim | f64 alpha (must equal prototypes.DEFAULT_ALPHA)
     u32 n_classes, then per class: u32 id | u8 role (0 base, 1 novel)
                                    | u16 name_len | name utf-8
     u32 meta_len | meta JSON utf-8
@@ -32,7 +32,8 @@ from .errors import FormatError, IoError, ProtosegError
 from .model import DEFAULT_AMP_GAMMA, EvalModel, from_train_state
 from .netpbm import atomic_write
 from .prototypes import (
-    ROLE_BASE, ROLE_NOVEL, GammaNet, make_classifier, named_parameters, parameters_from_named
+    DEFAULT_ALPHA, ROLE_BASE, ROLE_NOVEL, GammaNet, make_classifier, named_parameters,
+    parameters_from_named,
 )
 from .tensor import Tensor
 from .training import VARIANT_KINDS, TrainConfig, TrainState, make_variant
@@ -53,7 +54,7 @@ def save_checkpoint(
     buf.write(MAGIC)
     buf.write(struct.pack("<BBH", VERSION, 1, 0))
     buf.write(struct.pack("<I", model.classifier.embed_dim))
-    buf.write(struct.pack("<d", model.classifier.alpha))
+    buf.write(struct.pack("<d", DEFAULT_ALPHA))
 
     clf = model.classifier
     buf.write(struct.pack("<I", clf.num_classes))
@@ -136,6 +137,8 @@ def _read_all(path: str) -> dict:
         raise FormatError(f"{path}: unsupported byte order flag {endian}")
     (embed_dim,) = r.unpack("<I")
     (alpha,) = r.unpack("<d")
+    if alpha != DEFAULT_ALPHA:  # NaN included
+        raise FormatError(f"{path}: cosine scale {alpha} is not the {DEFAULT_ALPHA} applied")
 
     (n_classes,) = r.unpack("<I")
     class_ids, roles, names = [], {}, {}
@@ -178,7 +181,6 @@ def _read_all(path: str) -> dict:
     return {
         "path": path,
         "embed_dim": embed_dim,
-        "alpha": alpha,
         "class_ids": class_ids,
         "roles": roles,
         "names": names,
@@ -226,7 +228,7 @@ def load_checkpoint(path: str) -> EvalModel:
     meta = doc["meta"]
     backbone, weights, gammanet = _params_from(doc, trainable=False)
     try:
-        classifier = make_classifier(doc["class_ids"], weights.data, doc["roles"], doc["alpha"])
+        classifier = make_classifier(doc["class_ids"], weights.data, doc["roles"])
     except ProtosegError as exc:
         raise FormatError(f"{path}: bad class table: {exc}") from exc
 

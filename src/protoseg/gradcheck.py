@@ -16,7 +16,7 @@ import numpy as np
 
 from . import tensor as T
 from .backbone import extract_features, init_backbone
-from .errors import UnsupportedOp
+from .errors import ConfigError, UnsupportedOp
 from .prototypes import init_gamma_net, named_parameters, parameters_from_named
 from .tensor import GradCheckReport, Tensor, gradient_check, op_forward
 from .training import FakeSplit, build_updated_classifier, dual_loss
@@ -114,6 +114,8 @@ def _op_probes(rng):
 
 def run_op_checks(trials: int = DEFAULT_TRIALS) -> list[tuple[str, GradCheckReport]]:
     """Worst report per op kind over the given number of randomized probes."""
+    if trials < 1:
+        raise ConfigError(f"trials must be >= 1, got {trials}")
     results = []
     for kind in T.op_kinds():
         rng = np.random.default_rng(zlib.crc32(kind.encode()))

@@ -172,9 +172,7 @@ def run_fs_protocol(
                 parts[u, i] = (masked_sum_part(feats, mask == u), masked_sum_part(feats, background))
         fg = mean_of_shots([parts[u, i][0] for i in picks]).data
         bg = pixel_weighted_combine([parts[u, i][1] for i in picks], len(fg))[0].data
-        clf = make_classifier(
-            [0, 1], np.stack([bg, fg]), {0: "base", 1: "novel"}, model.classifier.alpha
-        )
+        clf = make_classifier([0, 1], np.stack([bg, fg]), {0: "base", 1: "novel"})
 
         qi = int(rng.choice(queries[u]))
         if qi not in test_feats:

@@ -1,7 +1,9 @@
 """Prototype math: pooling, the cosine classifier, context fusion, registration.
 
-A classifier is an ordered list of class prototypes scored by alpha-scaled
-cosine similarity. Novel classes are installed by mask-average pooling over
+A classifier is an ordered list of class prototypes. One head scores every
+pixel against them, ``cosine_logits``: the cosine similarity scaled by
+``DEFAULT_ALPHA``, taped, so training's loss and inference's ``classify``
+share it. Novel classes are installed by mask-average pooling over
 their support shots; base classes present in those supports can additionally
 be enriched by fusing their trained row with a pooled feature prototype,
 weighted by a small learned gate network.
@@ -28,7 +30,7 @@ DEFAULT_ALPHA = 10.0
 
 @dataclass(frozen=True)
 class Classifier:
-    """Ordered (class id, prototype row) table plus roles and the cosine scale.
+    """Ordered (class id, prototype row) table plus roles.
 
     Rows are kept sorted by ascending class id so argmax tie-breaking lands on
     the lowest class id. Instances are immutable; registration returns a new one.
@@ -37,7 +39,6 @@ class Classifier:
     class_ids: tuple[int, ...]
     weights: np.ndarray  # (n, c) float64, row i belongs to class_ids[i]
     roles: dict[int, str]
-    alpha: float = DEFAULT_ALPHA
 
     def __post_init__(self):
         ids = self.class_ids
@@ -47,8 +48,6 @@ class Classifier:
             raise ConfigError("classifier rows must be sorted by class id")
         if BACKGROUND not in ids or self.roles.get(BACKGROUND) != ROLE_BASE:
             raise ConfigError("background class 0 must be present with role base")
-        if self.alpha <= 0:
-            raise ConfigError("alpha must be positive")
         if self.weights.shape[0] != len(ids):
             raise ShapeError("one weight row per class id required")
 
@@ -60,21 +59,12 @@ class Classifier:
     def num_classes(self) -> int:
         return len(self.class_ids)
 
-    def index_of(self, class_id: int) -> int:
-        return self.class_ids.index(class_id)
 
-    def row(self, class_id: int) -> np.ndarray:
-        return self.weights[self.index_of(class_id)]
-
-    def ids_with_role(self, role: str) -> tuple[int, ...]:
-        return tuple(i for i in self.class_ids if self.roles[i] == role)
-
-
-def make_classifier(class_ids, weights, roles, alpha=DEFAULT_ALPHA) -> Classifier:
+def make_classifier(class_ids, weights, roles) -> Classifier:
     order = np.argsort(class_ids, kind="stable")
     ids = tuple(int(class_ids[i]) for i in order)
     w = np.ascontiguousarray(np.asarray(weights, dtype=np.float64)[order])
-    return Classifier(ids, w, dict(roles), float(alpha))
+    return Classifier(ids, w, dict(roles))
 
 
 @dataclass
@@ -307,18 +297,14 @@ def register_novel_classes(
         new_ids.append(nid)
         new_rows.append(novel_rows[nid])
         roles[nid] = ROLE_NOVEL
-    return make_classifier(new_ids, np.stack(new_rows), roles, classifier.alpha)
+    return make_classifier(new_ids, np.stack(new_rows), roles)
 
 
-def cosine_logits(classifier: Classifier, features: Tensor) -> np.ndarray:
-    """alpha-scaled cosine similarity of every pixel against every prototype."""
-    h, w, c = features.shape
-    if c != classifier.embed_dim:
-        raise ShapeError(f"feature channels {c} != classifier dim {classifier.embed_dim}")
-    fn = T.l2_normalize(features).data.reshape(h * w, c)
-    pn = T.l2_normalize(Tensor(classifier.weights)).data
-    cos = np.clip(fn @ pn.T, -1.0, 1.0)
-    return (classifier.alpha * cos).reshape(h, w, classifier.num_classes)
+def cosine_logits(features: Tensor, weights: Tensor) -> Tensor:
+    """The one cosine head: unit feature rows (n, c) against the prototype
+    rows (k, c), as (n, k) logits scaled by ``DEFAULT_ALPHA``. Taped, so the
+    training loss differentiates through it."""
+    return T.scale(T.matmul(features, T.l2_normalize(weights), transpose_b=True), DEFAULT_ALPHA)
 
 
 def classify(classifier: Classifier, features: Tensor) -> tuple[np.ndarray, np.ndarray]:
@@ -327,7 +313,15 @@ def classify(classifier: Classifier, features: Tensor) -> tuple[np.ndarray, np.n
     Returns (label mask, logits). Argmax of the scaled cosine scores equals
     argmax of the softmax in the output rule, so no softmax is materialized.
     """
-    logits = cosine_logits(classifier, features)
-    pred_idx = np.argmax(logits, axis=-1)
+    h, w, c = features.shape
+    if c != classifier.embed_dim:
+        raise ShapeError(f"feature channels {c} != classifier dim {classifier.embed_dim}")
+    flat = T.reshape(T.l2_normalize(features), (h * w, c))
+    logits = cosine_logits(flat, Tensor(classifier.weights)).data
+    # inference logits are bounded by alpha, yet float32 unit rows can exceed
+    # norm 1 by rounding; the training loss leaves its logits unclipped, as a
+    # clipped logit has no gradient
+    np.clip(logits, -DEFAULT_ALPHA, DEFAULT_ALPHA, out=logits)
+    logits = logits.reshape(h, w, classifier.num_classes)
     ids = np.asarray(classifier.class_ids)
-    return ids[pred_idx], logits
+    return ids[np.argmax(logits, axis=-1)], logits

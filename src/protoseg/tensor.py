@@ -20,6 +20,7 @@ that needs no gradient, such as the image.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -260,7 +261,7 @@ def matmul(a: Tensor, b: Tensor, transpose_b: bool = False) -> Tensor:
 
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     shape = tuple(int(s) for s in shape)
-    if int(np.prod(shape)) != a.data.size:
+    if math.prod(shape) != a.data.size:
         raise ShapeError(f"reshape {a.shape} -> {shape}")
     out = Tensor(a.data.reshape(shape))
 

@@ -24,9 +24,9 @@ from .backbone import BackboneParams, extract_features, init_backbone
 from .errors import ConfigError, DataError, NumericalError, check_field_types
 from .netpbm import atomic_write
 from .prototypes import (
-    DEFAULT_ALPHA,
     ROLE_BASE,
     GammaNet,
+    cosine_logits,
     fuse_prototype,
     gamma_forward,
     init_gamma_net,
@@ -186,11 +186,6 @@ def _label_lut(class_ids: tuple[int, ...]) -> np.ndarray:
     return lut
 
 
-def _scaled_cosine_logits(flat_feats: Tensor, weights: Tensor) -> Tensor:
-    normed_w = T.l2_normalize(weights)
-    return T.scale(T.matmul(flat_feats, normed_w, transpose_b=True), DEFAULT_ALPHA)
-
-
 def _batch_ce(
     feats_flat: list[Tensor],
     labels: list[np.ndarray],
@@ -198,13 +193,11 @@ def _batch_ce(
     weights: Tensor,
     lut: np.ndarray,
 ) -> Tensor:
-    chosen = [feats_flat[i] for i in positions]
-    stacked = chosen[0] if len(chosen) == 1 else T.concat(chosen, axis=0)
+    stacked = T.concat([feats_flat[i] for i in positions], axis=0)
     target = np.concatenate([lut[labels[i].reshape(-1)] for i in positions])
     if (target == -1).any():
         raise DataError("label id not covered by the classifier")
-    logits = _scaled_cosine_logits(stacked, weights)
-    return T.softmax_cross_entropy(logits, target)
+    return T.softmax_cross_entropy(cosine_logits(stacked, weights), target)
 
 
 def dual_loss(

@@ -24,6 +24,7 @@ from protoseg.gradcheck import run_end_to_end_check, run_op_checks
 from protoseg.metrics import ConfusionMatrix, iou_per_class, miou
 from protoseg.model import EvalModel
 from protoseg.prototypes import (
+    DEFAULT_ALPHA,
     SupportSample,
     SupportSet,
     classify,
@@ -248,7 +249,7 @@ def test_criterion_4_bounds_and_invariance(grid):
     manifest = grid.manifests[0]
     model = grid.models[(0, "capl")]
     clf = model.classifier
-    alpha = clf.alpha
+    alpha = DEFAULT_ALPHA
 
     bounded = True
     invariant = True

@@ -20,7 +20,6 @@ def _model(with_gamma=True, seed=0, role_of_5="novel"):
         [0, 2, 5],
         rng.uniform(-1, 1, (3, 6)),
         {0: "base", 2: "base", 5: role_of_5},
-        alpha=10.0,
     )
     return EvalModel(
         backbone=init_backbone(c=6, layers=2, seed=seed),
@@ -41,7 +40,6 @@ def test_round_trip_is_lossless(tmp_path):
     back = load_checkpoint(path)
     assert back.classifier.class_ids == model.classifier.class_ids
     assert back.classifier.roles == model.classifier.roles
-    assert back.classifier.alpha == model.classifier.alpha
     assert np.array_equal(back.classifier.weights, model.classifier.weights)
     for (na, ta), (nb, tb) in zip(model.backbone.tensors(), back.backbone.tensors()):
         assert na == nb

@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import struct
+import zlib
 from dataclasses import replace
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 
 from protoseg.checkpoint import load_checkpoint, save_checkpoint
 from protoseg.cli import main
+from protoseg.errors import FormatError
 from protoseg.netpbm import read_pgm
 from protoseg.scenes import load_manifest
 
@@ -215,7 +217,7 @@ def test_register_adds_novel_rows(workspace, tmp_path):
         == 0
     )
     model = load_checkpoint(out)
-    assert set(model.classifier.ids_with_role("novel")) == {1, 2}
+    assert {c for c, role in model.classifier.roles.items() if role == "novel"} == {1, 2}
     assert model.classifier.num_classes == 9
     again = str(tmp_path / "reg2.ckpt")
     main(["register", "--model", workspace["ckpt"], "--data", workspace["manifest"],
@@ -260,6 +262,23 @@ def test_predict_missing_model_exits_3(workspace, tmp_path):
          "--image", "x.ppm", "--out", str(tmp_path / "m.pgm")]
     )
     assert code == 3
+
+
+@pytest.mark.parametrize("scale", [float("nan"), float("inf"), 20.0])
+def test_checkpoint_with_another_cosine_scale_exits_3(workspace, tmp_path, scale):
+    # the f64 after magic, version/endian/reserved and embed_dim is the scale;
+    # the CRC is resealed, so only the scale check can reject the file
+    body = bytearray(open(workspace["ckpt"], "rb").read()[:-4])
+    body[12:20] = struct.pack("<d", scale)
+    bad = str(tmp_path / "scaled.ckpt")
+    open(bad, "wb").write(bytes(body) + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
+    with pytest.raises(FormatError, match="cosine scale"):
+        load_checkpoint(bad)
+    manifest = load_manifest(workspace["manifest"])
+    image = os.path.join(os.path.dirname(workspace["manifest"]), manifest.test[0].image)
+    mask_out = str(tmp_path / "pred.pgm")
+    assert main(["predict", "--model", bad, "--image", image, "--out", mask_out]) == 3
+    assert not os.path.exists(mask_out)
 
 
 def test_eval_gfs_report(workspace, tmp_path):
@@ -403,6 +422,13 @@ def test_bad_list_or_shot_flag_exits_2_and_writes_nothing(workspace, tmp_path, c
 def test_gradcheck_passes_and_corruption_fails():
     assert main(["gradcheck", "--trials", "2"]) == 0
     assert main(["gradcheck", "--trials", "2", "--corrupt-op", "sigmoid"]) == 1
+
+
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_gradcheck_without_trials_exits_2_before_any_check(trials, capsys):
+    assert main(["gradcheck", "--trials", trials]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "trials" in err
 
 
 def test_gradcheck_unknown_op_exits_2():

@@ -64,7 +64,7 @@ def _escapes(tmp_path, name, blob, loaders, seed, crc=False):
 def _small_model() -> EvalModel:
     rng = np.random.default_rng(0)
     clf = make_classifier(
-        [0, 1, 4], rng.uniform(-1, 1, (3, 2)), {0: "base", 1: "base", 4: "novel"}, alpha=10.0
+        [0, 1, 4], rng.uniform(-1, 1, (3, 2)), {0: "base", 1: "base", 4: "novel"}
     )
     return EvalModel(
         backbone=init_backbone(c=2, layers=1, seed=0),

@@ -8,7 +8,13 @@ import protoseg.training as training
 from protoseg.backbone import extract_features, init_backbone
 from protoseg.errors import ConfigError, DataError, DegenerateBatchError, IoError
 from protoseg.netpbm import write_pgm, write_ppm
-from protoseg.prototypes import init_gamma_net, masked_sum_part, pixel_weighted_combine
+from protoseg.prototypes import (
+    classify,
+    init_gamma_net,
+    make_classifier,
+    masked_sum_part,
+    pixel_weighted_combine,
+)
 from protoseg.scenes import DatasetManifest, PairEntry, load_pair
 from protoseg.tensor import Tape, Tensor, backward, gradient_check
 from protoseg.training import (
@@ -207,6 +213,26 @@ def test_dual_loss_all_ignored_raises():
     masks = [np.full((4, 4), 255, dtype=np.int64) for _ in range(4)]
     with pytest.raises(DegenerateBatchError):
         dual_loss(weights, weights, feats, masks, (2, 3), (0, 1, 2))
+
+
+def test_training_loss_and_classify_score_pixels_alike():
+    # one cosine head: the unclipped training logits and classify's clipped
+    # ones give bitwise the same cross entropy on float32 backbone maps
+    rng = np.random.default_rng(11)
+    class_ids = (0, 2, 3, 5, 8)
+    weights = Tensor(rng.uniform(-1, 1, (len(class_ids), 8)), requires_grad=True)
+    backbone = init_backbone(8, 2, (11, 1))
+    images = [Tensor(rng.random((16, 12, 3)).astype(np.float32)) for _ in range(4)]
+    feats = [extract_features(backbone, image) for image in images]
+    masks = [rng.choice([*class_ids, T.IGNORE_LABEL], (16, 12)) for _ in range(4)]
+    l_cls, _ = dual_loss(weights, None, feats, masks, (2, 3), class_ids)
+
+    clf = make_classifier(class_ids, weights.data, {c: "base" for c in class_ids})
+    logits = np.concatenate([classify(clf, f)[1].reshape(-1, len(class_ids)) for f in feats])
+    rows = {c: i for i, c in enumerate(class_ids)} | {T.IGNORE_LABEL: T.IGNORE_LABEL}
+    target = np.array([rows[int(v)] for m in masks for v in m.reshape(-1)])
+    assert feats[0].data.dtype == np.float32
+    assert T.softmax_cross_entropy(Tensor(logits), target).data.tobytes() == l_cls.data.tobytes()
 
 
 def test_dual_loss_end_to_end_gradients_pass_fd_check():

@@ -69,7 +69,7 @@ def extract_features(params: BackboneParams, image: Tensor) -> Tensor:
     """
     if image.data.ndim != 3 or image.shape[2] != IN_CHANNELS:
         raise ShapeError(f"expected (h, w, {IN_CHANNELS}) image, got {image.shape}")
-    out = T.scale(image, 1.0, -0.5)
+    out = Tensor(image.data - 0.5)  # off the tape: the image needs no gradient
     last = len(params.layers) - 1
     for i, (kernel, bias) in enumerate(params.layers):
         out = T.conv2d(out, kernel, bias)

@@ -17,7 +17,7 @@ import sys
 
 from . import gradcheck
 from .backbone import extract_features
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import load_checkpoint, load_train_state, save_checkpoint, save_train_state
 from .errors import (
     ConfigError,
     DataError,
@@ -49,8 +49,10 @@ from .tensor import Tensor
 from .training import (
     TrainConfig,
     VARIANT_KINDS,
+    init_state,
     load_train_data,
     make_variant,
+    run_training_loop,
     write_curve,
 )
 
@@ -124,9 +126,6 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    from .checkpoint import load_train_state, save_train_state
-    from .training import init_state, run_training_loop
-
     manifest = load_manifest(args.data)
     data = load_train_data(manifest)
     names = {int(c["id"]): c["name"] for c in manifest.classes}
@@ -349,7 +348,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        try:
+            return args.fn(args)
+        except MemoryError as exc:
+            # sizes no allocation can hold, such as a train embed_dim of 10**9
+            raise ConfigError(f"out of memory, lower the config's sizes: {exc}") from exc
     except ProtosegError as exc:
         print(f"error: {exc}", file=sys.stderr)
         for types, code in _EXIT_CODES:

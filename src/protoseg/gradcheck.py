@@ -94,7 +94,7 @@ def _op_probes(rng):
     return {
         "add": via("add", (5,), x_shape=(5,)),
         "mul": via("mul", (5,), x_shape=(5,)),
-        "scale": via("scale", x_shape=(4,), alpha=-1.7, beta=0.3),
+        "scale": via("scale", x_shape=(4,), alpha=-1.7),
         "div_scalar": via("div_scalar", x_shape=(4,), denom=3.0),
         "relu": via("relu", x_shape=(6,), margin=1e-3),
         "sigmoid": via("sigmoid", x_shape=(6,)),

@@ -87,28 +87,24 @@ def run_gfs_protocol(
     pairs = [load_pair(manifest, e) for e in manifest.test]
     feats = [extract_features(model.backbone, img) for img, _ in pairs]
     truths = [mask for _, mask in pairs]
-
     if not k:
-        clf = model.classifier
-        cm = ConfusionMatrix(clf.class_ids)
-        keep = set(clf.class_ids)
-        for feat, truth in zip(feats, truths):
-            pred, _ = classify(clf, feat)
-            masked_truth = np.where(np.isin(truth, sorted(keep)), truth, IGNORE_LABEL)
-            cm.accumulate(pred, masked_truth)
-        return mean_report([summarize_confusion(cm, clf.roles, seed=None)])
+        keep = sorted(model.classifier.class_ids)
+        truths = [np.where(np.isin(truth, keep), truth, IGNORE_LABEL) for truth in truths]
 
     per_seed = []
-    for seed in seeds:
+    for seed in seeds if k else (None,):  # the base-only pass registers nothing
         try:
-            supports = sample_support_set(manifest, k, seed)
-            clf = register_for_variant(model, supports)
+            clf = model.classifier
+            if k:
+                clf = register_for_variant(model, sample_support_set(manifest, k, seed))
             cm = ConfusionMatrix(clf.class_ids)
             for feat, truth in zip(feats, truths):
                 pred, _ = classify(clf, feat)
                 cm.accumulate(pred, truth)
             per_seed.append(summarize_confusion(cm, clf.roles, seed=seed))
         except ProtosegError as exc:
+            if not k:
+                raise
             raise type(exc)(f"seed {seed}: {exc}") from exc
     return mean_report(per_seed)
 

@@ -6,7 +6,9 @@ pixel against them, ``cosine_logits``: the cosine similarity scaled by
 share it. Novel classes are installed by mask-average pooling over
 their support shots; base classes present in those supports can additionally
 be enriched by fusing their trained row with a pooled feature prototype,
-weighted by a small learned gate network.
+weighted by a small learned gate network or a fixed gamma. Both go through
+``update_rows``, the one classifier update, which training's rehearsal calls
+too: the update that training rehearses is the one applied at inference.
 """
 
 from __future__ import annotations
@@ -216,22 +218,51 @@ def check_gamma(gamma) -> None:
         raise RangeError(f"gamma {gamma} outside [0, 1]")
 
 
-def fuse_prototype(p_cls: Tensor, p_feat: Tensor, gamma) -> Tensor:
+def fuse_prototype(p_cls: Tensor, p_feat: Tensor, gamma: Tensor) -> Tensor:
     """Convex combination gamma * p_cls + (1 - gamma) * p_feat.
 
-    ``gamma`` is a float or a scalar tensor (the latter keeps gradients
-    flowing through the gate during training). A tensor gamma that is not
-    finite (a diverged gate) is a ``NumericalError``; any other gamma
-    outside [0, 1] is a ``RangeError``.
+    ``gamma`` is a scalar tensor, a gate's output or a fixed gamma, so both
+    fuse in float64. A gamma that is not finite (a diverged gate) is a
+    ``NumericalError``; any other gamma outside [0, 1] is a ``RangeError``.
     """
-    if isinstance(gamma, Tensor):
-        g = float(gamma.data.reshape(()))
-        if not np.isfinite(g):
-            raise NumericalError(f"the gate computed gamma {g}")
-        check_gamma(g)
-        return T.add(T.mul(p_cls, gamma), T.mul(p_feat, T.scale(gamma, -1.0, 1.0)))
-    check_gamma(gamma)
-    return T.add(T.scale(p_cls, gamma), T.scale(p_feat, 1.0 - gamma))
+    g = gamma.item()
+    if not np.isfinite(g):
+        raise NumericalError(f"the gate computed gamma {g}")
+    check_gamma(g)
+    return T.add(T.mul(p_cls, gamma), T.mul(p_feat, T.add(Tensor(1.0), T.scale(gamma, -1.0))))
+
+
+def update_rows(weights: Tensor, class_ids, gate, feats, masks, replace, fuse):
+    """The one classifier update of rehearsal and registration: (rows, gammas).
+
+    A ``replace`` or ``fuse`` class with pixels in ``masks`` gets its
+    pixel-weighted mean over ``feats``; a ``replace`` row becomes the mean, a
+    ``fuse`` row its fusion through ``gate`` (a gate network, or a fixed
+    gamma wrapped once as a scalar tensor). Other rows pass through. Taped:
+    gradients flow through the means and the gate.
+    """
+    means: dict[int, Tensor] = {}
+    for cid in sorted(set(replace) | set(fuse)):
+        # a generator, not a list: the tape then records each masked sum just
+        # before its add, and the gradient bits depend on that record order
+        parts = (masked_sum_part(f, m == cid) for f, m in zip(feats, masks))
+        mean, count = pixel_weighted_combine(parts, weights.shape[1])
+        if count:
+            means[cid] = mean
+    if gate is not None and not isinstance(gate, GammaNet):
+        gate = Tensor(gate)
+    rows, gammas = [], []
+    for idx, cid in enumerate(class_ids):
+        if cid in replace and cid in means:
+            rows.append(means[cid])
+        elif cid in fuse and cid in means:
+            p_cls = T.take_row(weights, idx)
+            gamma = gate if isinstance(gate, Tensor) else gamma_forward(gate, p_cls, means[cid])
+            gammas.append(gamma.item())
+            rows.append(fuse_prototype(p_cls, means[cid], gamma))
+        else:
+            rows.append(T.take_row(weights, idx))
+    return T.stack(rows), gammas
 
 
 # ---------------------------------------------------------------------------
@@ -247,27 +278,25 @@ def register_novel_classes(
 ) -> Classifier:
     """Build a new classifier with novel rows imprinted and base rows enriched.
 
-    Each declared novel class gets the shot-averaged pooled prototype. Each
-    base class with at least one support pixel is replaced by the fusion of
-    its trained row with the accumulated context prototype, weighted by
-    ``gate``: a gate network's output, or a fixed gamma in [0, 1]. Every
-    other base row is carried over bitwise, and with no gate
-    (``None``, imprint-only registration) every base row is. The input
-    classifier is never mutated.
+    Each declared novel class gets the shot-averaged pooled prototype. The
+    base rows come from ``update_rows``, the update training rehearses: each
+    base class with at least one support pixel is fused with its pooled
+    context prototype, weighted by ``gate``: a gate network's output, or a
+    fixed gamma in [0, 1]. Every other row is carried over bitwise, and with
+    no gate (``None``, imprint-only registration) every base row is. The
+    input classifier is never mutated.
     """
     declared = supports.novel_ids()
     for nid in declared:
         if nid in classifier.class_ids:
             raise ConfigError(f"class {nid} is already registered")
-    if len(declared) != len(set(declared)):
-        raise ConfigError("duplicate novel class ids")
-    adaptive = isinstance(gate, GammaNet)  # a fixed gamma may be an int, e.g. JSON 1
-    if gate is not None and not adaptive:
-        check_gamma(gate)
+    if gate is not None and not isinstance(gate, GammaNet):
+        check_gamma(gate)  # a fixed gamma may be an int, e.g. JSON 1
 
     features = [extract_features(backbone, s.image) for s in supports.samples]
+    masks = [s.mask for s in supports.samples]
 
-    novel_rows: dict[int, np.ndarray] = {}
+    novel_rows = []
     for nid in declared:
         parts = [
             masked_sum_part(feat, sample.mask == nid)
@@ -276,28 +305,14 @@ def register_novel_classes(
         ]
         if not any(parts):
             raise EmptyMaskError(f"novel class {nid} has no pixels in any shot")
-        novel_rows[nid] = mean_of_shots(parts).data
+        novel_rows.append(mean_of_shots(parts).data)
 
-    new_ids = list(classifier.class_ids)
-    new_rows = [classifier.weights[i].copy() for i in range(classifier.num_classes)]
-    if gate is not None:
-        for idx, cid in enumerate(classifier.class_ids):
-            if classifier.roles[cid] != ROLE_BASE:
-                continue
-            parts = (masked_sum_part(f, s.mask == cid) for s, f in zip(supports.samples, features))
-            p_feat, count = pixel_weighted_combine(parts, classifier.embed_dim)
-            if count == 0:
-                continue
-            p_cls = Tensor(classifier.weights[idx])
-            gamma = gamma_forward(gate, p_cls, p_feat) if adaptive else gate
-            new_rows[idx] = fuse_prototype(p_cls, p_feat, gamma).data
-
-    roles = dict(classifier.roles)
-    for nid in declared:
-        new_ids.append(nid)
-        new_rows.append(novel_rows[nid])
-        roles[nid] = ROLE_NOVEL
-    return make_classifier(new_ids, np.stack(new_rows), roles)
+    ids = classifier.class_ids
+    base = tuple(cid for cid in ids if classifier.roles[cid] == ROLE_BASE)
+    fuse = () if gate is None else base
+    rows, _ = update_rows(Tensor(classifier.weights), ids, gate, features, masks, (), fuse)
+    roles = {**classifier.roles, **{nid: ROLE_NOVEL for nid in declared}}
+    return make_classifier(ids + declared, np.vstack([rows.data, *novel_rows]), roles)
 
 
 def cosine_logits(features: Tensor, weights: Tensor) -> Tensor:

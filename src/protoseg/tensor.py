@@ -174,9 +174,9 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _record("mul", (a, b), out, back)
 
 
-def scale(a: Tensor, alpha: float, beta: float = 0.0) -> Tensor:
-    """alpha * a + beta with python-scalar coefficients."""
-    out = Tensor(a.data * alpha + beta)
+def scale(a: Tensor, alpha: float) -> Tensor:
+    """alpha * a with a python-scalar coefficient."""
+    out = Tensor(a.data * alpha)
 
     def back(g):
         return [(a, g * alpha)]

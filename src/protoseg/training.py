@@ -27,13 +27,10 @@ from .prototypes import (
     ROLE_BASE,
     GammaNet,
     cosine_logits,
-    fuse_prototype,
-    gamma_forward,
     init_gamma_net,
     make_classifier,
-    masked_sum_part,
     named_parameters,
-    pixel_weighted_combine,
+    update_rows,
 )
 from .scenes import DatasetManifest, load_pair
 from .tensor import IGNORE_LABEL, Tape, Tensor, backward
@@ -152,30 +149,12 @@ def build_updated_classifier(
     support_masks: list[np.ndarray],
     split: FakeSplit,
 ) -> tuple[Tensor, list[float]]:
-    """Assemble the updated weight matrix row by row; gradients flow through
-    the pooled means and the gate. Rows outside the split are passed through.
-    """
-    means: dict[int, Tensor] = {}
-    for cid in sorted(set(split.fake_novel) | set(split.fake_context)):
-        # a generator, not a list: the tape then records each masked sum just
-        # before its add, and the gradient bits depend on that record order
-        parts = (masked_sum_part(f, m == cid) for f, m in zip(support_feats, support_masks))
-        mean, count = pixel_weighted_combine(parts, weights.shape[1])
-        if count:
-            means[cid] = mean
-    rows = []
-    gammas: list[float] = []
-    for idx, cid in enumerate(class_ids):
-        if cid in split.fake_novel and cid in means:
-            rows.append(means[cid])
-        elif cid in split.fake_context and cid in means:
-            p_cls = T.take_row(weights, idx)
-            gamma = gamma_forward(net, p_cls, means[cid])
-            gammas.append(float(gamma.data.reshape(())))
-            rows.append(fuse_prototype(p_cls, means[cid], gamma))
-        else:
-            rows.append(T.take_row(weights, idx))
-    return T.stack(rows), gammas
+    """The rehearsed update: fake-novel rows are replaced by their pooled
+    means and fake-context rows gate-fused with them, by the one
+    ``update_rows`` that registration applies."""
+    return update_rows(
+        weights, class_ids, net, support_feats, support_masks, split.fake_novel, split.fake_context
+    )
 
 
 def _label_lut(class_ids: tuple[int, ...]) -> np.ndarray:

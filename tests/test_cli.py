@@ -496,6 +496,22 @@ def test_resume_from_a_snapshot_that_cannot_continue_exits_3(workspace, tmp_path
     assert not os.path.exists(out)
 
 
+def test_train_out_of_memory_exits_2(workspace, tmp_path, monkeypatch, capsys):
+    # the config is accepted; numpy's refusal of the first allocation is
+    # stood in for, so nothing large is allocated
+    def refuse(*args):
+        raise MemoryError("Unable to allocate 201. GiB for an array")
+
+    monkeypatch.setattr("protoseg.training.init_backbone", refuse)
+    cfg = tmp_path / "wide.json"
+    cfg.write_text(json.dumps({"train": {**TRAIN_CFG["train"], "embed_dim": 10**9}}))
+    out = tmp_path / "never.ckpt"
+    args = ["train", "--config", str(cfg), "--data", workspace["manifest"], "--out", str(out)]
+    assert main(args) == 2
+    assert "out of memory" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("variant", ["baseline", "capl"])
 def test_train_numeric_blowup_exits_4(workspace, tmp_path, variant):
     cfg = tmp_path / "hot.json"

@@ -259,17 +259,17 @@ def test_gamma_rejects_length_mismatch():
 def test_fuse_identity_cases_and_midpoint():
     p_cls = Tensor(np.array([2.0, 0.0]))
     p_feat = Tensor(np.array([0.0, 2.0]))
-    assert np.array_equal(fuse_prototype(p_cls, p_feat, 1.0).data, [2.0, 0.0])
-    assert np.array_equal(fuse_prototype(p_cls, p_feat, 0.0).data, [0.0, 2.0])
-    assert np.array_equal(fuse_prototype(p_cls, p_feat, 0.5).data, [1.0, 1.0])
+    assert np.array_equal(fuse_prototype(p_cls, p_feat, Tensor(1.0)).data, [2.0, 0.0])
+    assert np.array_equal(fuse_prototype(p_cls, p_feat, Tensor(0.0)).data, [0.0, 2.0])
+    assert np.array_equal(fuse_prototype(p_cls, p_feat, Tensor(0.5)).data, [1.0, 1.0])
 
 
 def test_fuse_rejects_gamma_outside_unit_interval():
     p = Tensor(np.zeros(2))
     with pytest.raises(RangeError):
-        fuse_prototype(p, p, 1.5)
+        fuse_prototype(p, p, Tensor(1.5))
     with pytest.raises(RangeError):
-        fuse_prototype(p, p, -0.1)
+        fuse_prototype(p, p, Tensor(-0.1))
 
 
 def test_fuse_with_a_non_finite_gate_output_is_numerical_error():
@@ -284,7 +284,7 @@ def test_fuse_stays_in_componentwise_hull():
         a = rng.uniform(-2, 2, 6)
         b = rng.uniform(-2, 2, 6)
         g = float(rng.random())
-        out = fuse_prototype(Tensor(a), Tensor(b), g).data
+        out = fuse_prototype(Tensor(a), Tensor(b), Tensor(g)).data
         lo = np.minimum(a, b) - 1e-12
         hi = np.maximum(a, b) + 1e-12
         assert ((out >= lo) & (out <= hi)).all()
@@ -396,6 +396,23 @@ def test_register_enriches_a_base_class_with_one_support_pixel():
     supports = SupportSet([sample])
     enriched = register_novel_classes(clf, net, backbone, supports)
     assert not np.array_equal(_row(enriched, 1), _row(clf, 1))
+
+
+def test_fixed_gamma_fuses_a_float32_prototype_in_float64():
+    # a fixed gate fuses with the adaptive gate's arithmetic: the float32
+    # pooled prototype is promoted before it is scaled by 1 - gamma
+    clf, backbone, _ = _toy_world(c=16)
+    samples = [_support_scene(9, [1, 2], seed=s) for s in (6, 7)]
+    for s in samples:
+        s.image = Tensor(s.image.data.astype(np.float32))
+    out = register_novel_classes(clf, 0.7, backbone, SupportSet(samples))
+    feats = [extract_features(backbone, s.image) for s in samples]
+    for cid in (1, 2):
+        parts = (masked_sum_part(f, s.mask == cid) for s, f in zip(samples, feats))
+        p_feat, _ = pixel_weighted_combine(parts, 16)
+        assert p_feat.data.dtype == np.float32
+        expected = 0.7 * _row(clf, cid) + p_feat.data.astype(np.float64) * (1.0 - 0.7)
+        assert np.array_equal(_row(out, cid), expected)
 
 
 # ---------------------------------------------------------------------------

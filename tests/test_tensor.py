@@ -475,7 +475,7 @@ def _op_trial_factories(rng, kink_margin=0.0):
     return {
         "add": via(T.add, (5,), x_shape=(5,)),
         "mul": via(T.mul, (5,), x_shape=(5,)),
-        "scale": via(T.scale, x_shape=(4,), alpha=-1.7, beta=0.3),
+        "scale": via(T.scale, x_shape=(4,), alpha=-1.7),
         "div_scalar": via(T.div_scalar, x_shape=(4,), denom=3.0),
         "relu": via(T.relu, x_shape=(6,)),
         "sigmoid": via(T.sigmoid, x_shape=(6,)),

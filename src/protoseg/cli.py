@@ -2,8 +2,9 @@
 evaluation, the ablation grid, and the gradient audit.
 
 Every command is a pure function of its flags, config, and input files, so
-reruns produce byte-identical outputs. Exit codes: 0 ok, 2 config, 3
-io/format, 4 numeric, 5 data.
+reruns produce byte-identical outputs. A command returns 0, or 1 for a failed
+gradient audit; a ``ProtosegError`` returns its class's ``exit_code`` (2
+config, 3 io/format, 4 numeric, 5 data, 1 otherwise).
 """
 
 from __future__ import annotations
@@ -18,19 +19,7 @@ import sys
 from . import gradcheck
 from .backbone import extract_features
 from .checkpoint import load_checkpoint, load_train_state, save_checkpoint, save_train_state
-from .errors import (
-    ConfigError,
-    DataError,
-    DegenerateError,
-    EmptyMaskError,
-    FormatError,
-    GenerationError,
-    IoError,
-    NumericalError,
-    ProtosegError,
-    RangeError,
-    UnsupportedOp,
-)
+from .errors import ConfigError, ProtosegError
 from .netpbm import atomic_write, read_json, read_ppm, write_pgm
 from .prototypes import check_gamma, classify
 from .protocols import (
@@ -57,18 +46,6 @@ from .training import (
 )
 
 SEEDS = ",".join(map(str, DEFAULT_SEEDS))
-EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_IO = 3
-EXIT_NUMERIC = 4
-EXIT_DATA = 5
-
-_EXIT_CODES = (
-    ((ConfigError, RangeError, UnsupportedOp), EXIT_CONFIG),
-    ((IoError, FormatError), EXIT_IO),
-    (NumericalError, EXIT_NUMERIC),
-    ((DataError, EmptyMaskError, DegenerateError, GenerationError), EXIT_DATA),
-)
 
 
 def _load_config(path: str | None) -> dict:
@@ -122,7 +99,7 @@ def cmd_synth(args) -> int:
         out = os.path.join(args.out, f"split{split}")
         build_dataset(scene, split, out)
         print(os.path.join(out, "manifest.json"))
-    return EXIT_OK
+    return 0
 
 
 def cmd_train(args) -> int:
@@ -138,7 +115,7 @@ def cmd_train(args) -> int:
             )
     else:
         doc = _load_config(args.config)
-        _known_sections(doc, {"scene", "train", "protocol"})
+        _known_sections(doc, {"scene", "train"})
         config = _section(doc, "train", TrainConfig)
         state = init_state(config, data, make_variant(args.variant or "capl"))
     until = None
@@ -150,7 +127,7 @@ def cmd_train(args) -> int:
     save_train_state(args.out, state, names)
     write_curve(state, args.curve or f"{args.out}.curve.csv")
     print(args.out)
-    return EXIT_OK
+    return 0
 
 
 def cmd_register(args) -> int:
@@ -173,7 +150,7 @@ def cmd_register(args) -> int:
     )
     save_checkpoint(args.out, registered)
     print(args.out)
-    return EXIT_OK
+    return 0
 
 
 def cmd_predict(args) -> int:
@@ -186,7 +163,7 @@ def cmd_predict(args) -> int:
         h, w, n = logits.shape
         atomic_write(args.logits, struct.pack("<III", h, w, n) + logits.astype("<f4").tobytes())
     print(args.out)
-    return EXIT_OK
+    return 0
 
 
 def cmd_eval(args) -> int:
@@ -228,12 +205,12 @@ def cmd_eval(args) -> int:
         payload = json.dumps(result, indent=2, sort_keys=True) + "\n"
     atomic_write(args.report, payload.encode())
     print(args.report)
-    return EXIT_OK
+    return 0
 
 
 def cmd_ablate(args) -> int:
     doc = _load_config(args.config)
-    _known_sections(doc, {"scene", "train", "protocol"})
+    _known_sections(doc, {"scene", "train"})
     config = _section(doc, "train", TrainConfig)
     shots_list = _int_list(args.shots_list, "--shots-list", 1)
     seeds = _int_list(args.seeds, "--seeds", 0)
@@ -246,7 +223,7 @@ def cmd_ablate(args) -> int:
     rows = run_ablation(manifest, shots_list, variants, seeds, config, cache_dir=args.cache)
     write_ablation_csv(rows, args.out)
     print(args.out)
-    return EXIT_OK
+    return 0
 
 
 def cmd_gradcheck(args) -> int:
@@ -266,7 +243,7 @@ def cmd_gradcheck(args) -> int:
     else:
         ok = run()
     print("gradient audit:", "pass" if ok else "FAIL")
-    return EXIT_OK if ok else 1
+    return 0 if ok else 1
 
 
 # ---------------------------------------------------------------------------
@@ -355,10 +332,7 @@ def main(argv=None) -> int:
             raise ConfigError(f"out of memory, lower the config's sizes: {exc}") from exc
     except ProtosegError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        for types, code in _EXIT_CODES:
-            if isinstance(exc, types):
-                return code
-        return 1
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -1,8 +1,9 @@
 """Exception taxonomy shared across the package, and the type check of the
 config dataclasses that raises ConfigError.
 
-The CLI maps these onto stable exit codes: ConfigError/RangeError/UnsupportedOp
--> 2, IoError/FormatError -> 3, NumericalError -> 4, data-level errors -> 5.
+Each class carries the exit code the CLI returns for it, inherited from one
+base class per code: ConfigError 2, IoError 3, NumericalError 4, DataError 5.
+ProtosegError itself and ShapeError, an internal contract violation, exit 1.
 """
 
 import sys
@@ -12,48 +13,58 @@ from dataclasses import fields
 class ProtosegError(Exception):
     """Base class for all package errors."""
 
+    exit_code = 1
+
 
 class ShapeError(ProtosegError):
     """Operand shapes do not conform to an operation's contract."""
 
 
-class UnsupportedOp(ProtosegError):
-    """Unknown operation kind requested from the dispatcher."""
-
-
-class NumericalError(ProtosegError):
-    """Non-finite values or numerically invalid arguments."""
-
-
 class ConfigError(ProtosegError):
     """Invalid configuration value or malformed config document."""
 
+    exit_code = 2
 
-class RangeError(ProtosegError):
+
+class RangeError(ConfigError):
     """Scalar argument outside its documented interval."""
 
 
-class EmptyMaskError(ProtosegError):
-    """A pooling mask selects zero pixels where at least one is required."""
-
-
-class DataError(ProtosegError):
-    """Dataset-level violation: unknown class ids, exhausted pools, ..."""
-
-
-class FormatError(ProtosegError):
-    """Malformed file content (netpbm headers, checkpoint framing, CRC)."""
+class UnsupportedOp(ConfigError):
+    """Unknown operation kind requested from the dispatcher."""
 
 
 class IoError(ProtosegError):
     """Filesystem failure while reading or writing artifacts."""
 
+    exit_code = 3
 
-class GenerationError(ProtosegError):
+
+class FormatError(IoError):
+    """Malformed file content (netpbm headers, checkpoint framing, CRC)."""
+
+
+class NumericalError(ProtosegError):
+    """Non-finite values or numerically invalid arguments."""
+
+    exit_code = 4
+
+
+class DataError(ProtosegError):
+    """Dataset-level violation: unknown class ids, exhausted pools, ..."""
+
+    exit_code = 5
+
+
+class EmptyMaskError(DataError):
+    """A pooling mask selects zero pixels where at least one is required."""
+
+
+class GenerationError(DataError):
     """Scene synthesis could not satisfy placement constraints."""
 
 
-class DegenerateError(ProtosegError):
+class DegenerateError(DataError):
     """A metric or reduction has no valid inputs."""
 
 

@@ -100,7 +100,7 @@ def _op_probes(rng):
         "sigmoid": via("sigmoid", x_shape=(6,)),
         "linear": via("linear", (4, 3), (3,), x_shape=(4,)),
         "dot": via("dot", (5,), x_shape=(5,)),
-        "matmul": via("matmul", (4, 2), x_shape=(3, 4)),
+        "matmul": via("matmul", (2, 4), x_shape=(3, 4)),
         "reshape": via("reshape", x_shape=(6,), shape=(2, 3)),
         "concat": concat_build,
         "stack": stack_build,

@@ -319,7 +319,7 @@ def cosine_logits(features: Tensor, weights: Tensor) -> Tensor:
     """The one cosine head: unit feature rows (n, c) against the prototype
     rows (k, c), as (n, k) logits scaled by ``DEFAULT_ALPHA``. Taped, so the
     training loss differentiates through it."""
-    return T.scale(T.matmul(features, T.l2_normalize(weights), transpose_b=True), DEFAULT_ALPHA)
+    return T.scale(T.matmul(features, T.l2_normalize(weights)), DEFAULT_ALPHA)
 
 
 def classify(classifier: Classifier, features: Tensor) -> tuple[np.ndarray, np.ndarray]:

@@ -15,6 +15,7 @@ index), so builds are byte-identical regardless of generation order.
 
 from __future__ import annotations
 
+import colorsys
 import json
 import os
 from dataclasses import dataclass
@@ -92,20 +93,12 @@ class SceneConfig:
         return ((class_id - 1 + self.cooc_partner_offset) % self.num_foreground) + 1
 
 
-def hsv_to_rgb(h: float, s: float, v: float) -> np.ndarray:
-    i = int(h * 6.0) % 6
-    f = h * 6.0 - int(h * 6.0)
-    p, q, t = v * (1 - s), v * (1 - f * s), v * (1 - (1 - f) * s)
-    rgb = [(v, t, p), (q, v, p), (p, v, t), (p, q, v), (t, p, v), (v, p, q)][i]
-    return np.array(rgb)
-
-
 def palette(config: SceneConfig) -> np.ndarray:
     """Row per class id: gray background, a hue wheel for foreground classes."""
     colors = np.zeros((config.num_foreground + 1, 3))
     colors[0] = (0.45, 0.45, 0.45)
     for c in range(1, config.num_foreground + 1):
-        colors[c] = hsv_to_rgb((c - 1) / config.num_foreground, 0.65, 0.85)
+        colors[c] = colorsys.hsv_to_rgb((c - 1) / config.num_foreground, 0.65, 0.85)
     return colors
 
 
@@ -379,17 +372,33 @@ def build_dataset(config: SceneConfig, split_index: int, out_dir: str) -> Datase
     return manifest
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def load_manifest(path: str) -> DatasetManifest:
+    """Read a split's manifest; a ``ConfigError`` for any class or scene
+    entry the program cannot use."""
     doc = read_json(path)
 
     def entries(items):
-        return [
-            PairEntry(e["image"], e["mask"], e.get("novel_id")) for e in items
-        ]
+        out = [PairEntry(e["image"], e["mask"], e.get("novel_id")) for e in items]
+        for e in out:
+            if not (isinstance(e.image, str) and isinstance(e.mask, str)
+                    and (e.novel_id is None or _is_int(e.novel_id))):
+                raise ValueError(f"bad scene entry {e}")
+        return out
 
     try:
+        classes = doc["classes"]
+        if not isinstance(classes, list) or not all(
+            isinstance(c, dict) and _is_int(c.get("id")) and isinstance(c.get("name"), str)
+            and c.get("role") in (ROLE_BASE, ROLE_NOVEL) for c in classes
+        ):
+            raise ValueError("classes must be a list of objects with an integer id, "
+                             "a string name and a base or novel role")
         return DatasetManifest(
-            classes=doc["classes"],
+            classes=classes,
             split_index=int(doc["split_index"]),
             seed=int(doc["seed"]),
             train=entries(doc["splits"]["train"]),

@@ -243,18 +243,14 @@ def dot(a: Tensor, b: Tensor) -> Tensor:
     return _record("dot", (a, b), out, back)
 
 
-def matmul(a: Tensor, b: Tensor, transpose_b: bool = False) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeError("matmul expects 2-d operands")
-    bd = b.data.T if transpose_b else b.data
-    if a.shape[1] != bd.shape[0]:
-        raise ShapeError(f"matmul: {a.shape} vs {b.shape} (transpose_b={transpose_b})")
-    out = Tensor(a.data @ bd)
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """``a @ b.T`` for 2-d operands: rows of ``a`` against rows of ``b``."""
+    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[1]:
+        raise ShapeError(f"matmul: {a.shape} vs {b.shape}.T")
+    out = Tensor(a.data @ b.data.T)
 
     def back(g):
-        if transpose_b:
-            return [(a, g @ b.data), (b, g.T @ a.data)]
-        return [(a, g @ b.data.T), (b, a.data.T @ g)]
+        return [(a, g @ b.data), (b, g.T @ a.data)]
 
     return _record("matmul", (a, b), out, back)
 
@@ -271,21 +267,16 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     return _record("reshape", (a,), out, back)
 
 
-def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
+def concat(tensors: Sequence[Tensor]) -> Tensor:
+    """Join tensors along their first axis."""
     if not tensors:
         raise ShapeError("concat of zero tensors")
     parts = list(tensors)
-    out = Tensor(np.concatenate([t.data for t in parts], axis=axis))
-    sizes = [t.shape[axis] for t in parts]
-    offsets = np.cumsum([0] + sizes)
+    out = Tensor(np.concatenate([t.data for t in parts]))
+    offsets = np.cumsum([0] + [t.shape[0] for t in parts])
 
     def back(g):
-        grads = []
-        for t, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            sl = [slice(None)] * g.ndim
-            sl[axis] = slice(lo, hi)
-            grads.append((t, g[tuple(sl)]))
-        return grads
+        return [(t, g[lo:hi]) for t, lo, hi in zip(parts, offsets[:-1], offsets[1:])]
 
     return _record("concat", tuple(parts), out, back)
 

@@ -172,7 +172,7 @@ def _batch_ce(
     weights: Tensor,
     lut: np.ndarray,
 ) -> Tensor:
-    stacked = T.concat([feats_flat[i] for i in positions], axis=0)
+    stacked = T.concat([feats_flat[i] for i in positions])
     target = np.concatenate([lut[labels[i].reshape(-1)] for i in positions])
     if (target == -1).any():
         raise DataError("label id not covered by the classifier")

@@ -1,6 +1,7 @@
 """Command-line surface: smoke runs, exit codes, byte-level determinism."""
 
 import hashlib
+import inspect
 import json
 import os
 import struct
@@ -10,9 +11,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from protoseg import errors
 from protoseg.checkpoint import load_checkpoint, save_checkpoint
 from protoseg.cli import main
-from protoseg.errors import FormatError
+from protoseg.errors import ConfigError, FormatError, ProtosegError
 from protoseg.netpbm import read_pgm
 from protoseg.scenes import load_manifest
 
@@ -108,6 +110,18 @@ def test_unknown_config_key_exits_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"scene": {"heigth": 24}}))
     assert main(["synth", "--config", str(bad), "--out", str(tmp_path / "x")]) == 2
+
+
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_protocol_config_section_exits_2(workspace, tmp_path, command, capsys):
+    # no code reads a "protocol" section, so it is as unknown as any other
+    cfg = tmp_path / "p.json"
+    cfg.write_text(json.dumps({**TRAIN_CFG, "protocol": {}}))
+    out = tmp_path / "never"
+    args = [command, "--config", str(cfg), "--data", workspace["manifest"], "--out", str(out)]
+    assert main(args) == 2
+    assert "unknown config sections: ['protocol']" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -522,3 +536,77 @@ def test_train_numeric_blowup_exits_4(workspace, tmp_path, variant):
              "--variant", variant, "--out", str(tmp_path / "hot.ckpt")]
         )
     assert code == 4
+
+
+EXIT_CODES = {
+    "ProtosegError": 1,
+    "ShapeError": 1,
+    "ConfigError": 2,
+    "RangeError": 2,
+    "UnsupportedOp": 2,
+    "IoError": 3,
+    "FormatError": 3,
+    "NumericalError": 4,
+    "DataError": 5,
+    "EmptyMaskError": 5,
+    "GenerationError": 5,
+    "DegenerateError": 5,
+    "DegenerateBatchError": 5,
+}
+
+
+def test_every_error_class_exits_with_its_documented_code(monkeypatch, capsys):
+    codes = {}
+    for name, cls in inspect.getmembers(errors, inspect.isclass):
+        if not (issubclass(cls, ProtosegError) and cls.__module__ == errors.__name__):
+            continue
+
+        def fail(args, cls=cls):
+            raise cls("injected")
+
+        monkeypatch.setattr("protoseg.cli.cmd_gradcheck", fail)
+        codes[name] = main(["gradcheck"])
+        assert capsys.readouterr().err == "error: injected\n"
+    assert codes == EXIT_CODES
+
+
+DROP = object()
+
+
+@pytest.mark.parametrize(
+    "where, value",
+    [
+        pytest.param(("classes", 1), 5, id="class-not-an-object"),
+        pytest.param(("classes", 1, "role"), DROP, id="class-without-role"),
+        pytest.param(("classes", 1, "role"), "other", id="class-role-unknown"),
+        pytest.param(("classes", 1, "id"), "x", id="class-id-not-an-integer"),
+        pytest.param(("classes", 1, "id"), True, id="class-id-a-bool"),
+        pytest.param(("classes", 1, "name"), 7, id="class-name-not-a-string"),
+        pytest.param(("classes",), "abc", id="classes-a-string"),
+        pytest.param(("classes",), {}, id="classes-an-object"),
+        pytest.param(("splits", "test", 0, "image"), 5, id="test-image-not-a-string"),
+        pytest.param(("splits", "test", 0, "mask"), None, id="test-mask-not-a-string"),
+        pytest.param(("splits", "support_pool", 0, "novel_id"), "q", id="novel-id-not-an-integer"),
+    ],
+)
+def test_malformed_manifest_entry_exits_2(workspace, tmp_path, where, value):
+    with open(workspace["manifest"]) as f:
+        doc = json.load(f)
+    *parents, key = where
+    node = doc
+    for step in parents:
+        node = node[step]
+    if value is DROP:
+        del node[key]
+    else:
+        node[key] = value
+    bad = tmp_path / "manifest.json"
+    bad.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError, match="malformed manifest"):
+        load_manifest(str(bad))
+    out = tmp_path / "out"
+    assert main(["train", "--config", workspace["train_cfg"], "--data", str(bad),
+                 "--out", str(out)]) == 2
+    assert main(["eval", "--model", workspace["ckpt"], "--data", str(bad),
+                 "--report", str(out)]) == 2
+    assert not out.exists()

@@ -52,6 +52,18 @@ def test_every_imported_name_is_used():
     assert unused == []
 
 
+def test_exit_codes_are_assigned_only_on_the_error_classes():
+    # cli.main returns exc.exit_code; no other module keeps its own table
+    assigners = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                if any(getattr(t, "id", getattr(t, "attr", None)) == "exit_code" for t in targets):
+                    assigners.add(path.name)
+    assert assigners == {"errors.py"}
+
+
 def test_train_config_has_only_the_fields_the_shipped_config_sets():
     # a training value that no config sets is a constant in training.py
     shipped = json.loads((ROOT / "configs" / "quick.json").read_text())["train"]
@@ -61,8 +73,9 @@ def test_train_config_has_only_the_fields_the_shipped_config_sets():
 # CLI flags + TrainConfig/SceneConfig fields + defaulted parameters of named
 # functions: 36 + 20 + 29 when this guard was added, 36 + 20 + 28 once the
 # cosine scale stopped being a make_classifier parameter, 36 + 20 + 27 once
-# tensor.scale lost its beta
-SETTABLE_VALUES_CEILING = 83
+# tensor.scale lost its beta, 36 + 20 + 25 once tensor.matmul lost
+# transpose_b and tensor.concat lost axis
+SETTABLE_VALUES_CEILING = 81
 
 
 def _settable_values() -> list[str]:

@@ -148,7 +148,7 @@ def test_backward_casts_each_gradient_to_its_tensor_dtype():
     # float32 activations times float64 weights give float64 products; the
     # activations' gradient is cast back to float32, the weights' stays float64
     x = Tensor(np.ones((2, 3), np.float32), requires_grad=True)
-    w = Tensor(np.ones((3, 4)), requires_grad=True)
+    w = Tensor(np.ones((4, 3)), requires_grad=True)
     with Tape() as tape:
         y = T.matmul(x, w)
         loss = scalarize(y, np.ones(8))
@@ -464,7 +464,7 @@ def _op_trial_factories(rng, kink_margin=0.0):
         x0 = Tensor(rng.uniform(-2, 2, (2, 3)))
         other = Tensor(rng.uniform(-2, 2, (3, 3)))
         fw = rng.uniform(-1, 1, 15)
-        return (lambda t: scalarize(T.concat([t, other], axis=0), fw)), x0
+        return (lambda t: scalarize(T.concat([t, other]), fw)), x0
 
     def stack_build():
         x0 = Tensor(rng.uniform(-2, 2, 4))
@@ -481,7 +481,7 @@ def _op_trial_factories(rng, kink_margin=0.0):
         "sigmoid": via(T.sigmoid, x_shape=(6,)),
         "linear": via(T.linear, (4, 3), (3,), x_shape=(4,)),
         "dot": via(T.dot, (5,), x_shape=(5,)),
-        "matmul": via(T.matmul, (4, 2), x_shape=(3, 4)),
+        "matmul": via(T.matmul, (2, 4), x_shape=(3, 4)),
         "reshape": via(T.reshape, x_shape=(6,), shape=(2, 3)),
         "concat": concat_build,
         "stack": stack_build,

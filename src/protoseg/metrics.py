@@ -69,22 +69,16 @@ def iou_per_class(cm: ConfusionMatrix) -> dict[int, float | None]:
     fp = cm.counts.sum(axis=0) - np.diag(cm.counts)
     fn = cm.counts.sum(axis=1) - np.diag(cm.counts)
     union = tp + fp + fn
-    out: dict[int, float | None] = {}
-    for i, cid in enumerate(cm.class_ids):
-        out[cid] = None if union[i] == 0 else float(tp[i] / union[i])
-    return out
+    return {cid: None if union[i] == 0 else float(tp[i] / union[i])
+            for i, cid in enumerate(cm.class_ids)}
 
 
 def miou(cm: ConfusionMatrix, roles: dict[int, str], role_filter: str = "all") -> float:
     """Mean IoU over classes passing the role filter; zero-union classes excluded."""
     if role_filter not in ROLE_FILTERS:
         raise DataError(f"unknown role filter {role_filter!r}")
-    per_class = iou_per_class(cm)
-    values = [
-        v
-        for cid, v in per_class.items()
-        if v is not None and (role_filter == "all" or roles.get(cid) == role_filter)
-    ]
+    values = [v for cid, v in iou_per_class(cm).items()
+              if v is not None and role_filter in ("all", roles.get(cid))]
     if not values:
         raise DegenerateError(f"no classes pass role filter {role_filter!r}")
     return float(np.mean(values))

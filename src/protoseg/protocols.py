@@ -1,11 +1,11 @@
 """Evaluation protocols: multi-seed generalized eval, episodic binary eval,
 and the fusion-strategy ablation grid.
 
-Test-image features depend only on the trained backbone, so they are
-extracted once per model and shared across support-sampling seeds; each seed
-only recomputes prototypes and the cheap cosine scores. The episodic protocol
-likewise pools each support-pool scene once per call and sums the cached
-parts in every episode that draws it.
+Each test map is extracted and normalized once per call and cached as unit
+rows, shared across support-sampling seeds; each seed registers its supports,
+normalizes its prototype rows once and scores the cached rows. The episodic
+protocol caches its query maps as unit rows too, and pools each support-pool
+scene once per call, summing the cached parts in every episode that draws it.
 """
 
 from __future__ import annotations
@@ -29,12 +29,13 @@ from .prototypes import (
     ROLE_NOVEL,
     SupportSet,
     check_gamma,
-    classify,
     make_classifier,
     masked_sum_part,
     mean_of_shots,
     pixel_weighted_combine,
     register_novel_classes,
+    scorer,
+    unit_rows,
 )
 from .scenes import DatasetManifest, load_pair, sample_support_set
 from .tensor import IGNORE_LABEL, Tensor
@@ -85,8 +86,8 @@ def run_gfs_protocol(
     if not manifest.test:
         raise DataError("manifest has an empty test set")
     pairs = [load_pair(manifest, e) for e in manifest.test]
-    feats = [extract_features(model.backbone, img) for img, _ in pairs]
-    truths = [mask for _, mask in pairs]
+    rows = [unit_rows(extract_features(model.backbone, img)) for img, _ in pairs]
+    truths = [mask.reshape(-1) for _, mask in pairs]
     if not k:
         keep = sorted(model.classifier.class_ids)
         truths = [np.where(np.isin(truth, keep), truth, IGNORE_LABEL) for truth in truths]
@@ -97,10 +98,10 @@ def run_gfs_protocol(
             clf = model.classifier
             if k:
                 clf = register_for_variant(model, sample_support_set(manifest, k, seed))
+            score = scorer(clf)
             cm = ConfusionMatrix(clf.class_ids)
-            for feat, truth in zip(feats, truths):
-                pred, _ = classify(clf, feat)
-                cm.accumulate(pred, truth)
+            for row, truth in zip(rows, truths):
+                cm.accumulate(score(row)[0], truth)
             per_seed.append(summarize_confusion(cm, clf.roles, seed=seed))
         except ProtosegError as exc:
             if not k:
@@ -152,7 +153,7 @@ def run_fs_protocol(
             raise DataError(f"no test scene contains novel class {u}")
         pools[u] = manifest.support_pool_for(u, k)
 
-    test_feats: dict[int, Tensor] = {}
+    test_rows: dict[int, Tensor] = {}
     # (class, pool index) -> foreground and background masked_sum_part
     parts: dict[tuple[int, int], tuple] = {}
     rng = np.random.default_rng(seed)
@@ -171,10 +172,10 @@ def run_fs_protocol(
         clf = make_classifier([0, 1], np.stack([bg, fg]), {0: "base", 1: "novel"})
 
         qi = int(rng.choice(queries[u]))
-        if qi not in test_feats:
-            test_feats[qi] = extract_features(model.backbone, test_pairs[qi][0])
-        pred, _ = classify(clf, test_feats[qi])
-        matrices[u].accumulate(pred, _binary_truth(test_pairs[qi][1], u))
+        if qi not in test_rows:
+            test_rows[qi] = unit_rows(extract_features(model.backbone, test_pairs[qi][0]))
+        pred, _ = scorer(clf)(test_rows[qi])
+        matrices[u].accumulate(pred, _binary_truth(test_pairs[qi][1], u).reshape(-1))
 
     per_class = {}
     for u in novel_ids:

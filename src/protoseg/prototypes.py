@@ -315,11 +315,33 @@ def register_novel_classes(
     return make_classifier(ids + declared, np.vstack([rows.data, *novel_rows]), roles)
 
 
-def cosine_logits(features: Tensor, weights: Tensor) -> Tensor:
-    """The one cosine head: unit feature rows (n, c) against the prototype
+def cosine_logits(rows: Tensor, unit_weights: Tensor) -> Tensor:
+    """The one cosine head: unit feature rows (n, c) against unit prototype
     rows (k, c), as (n, k) logits scaled by ``DEFAULT_ALPHA``. Taped, so the
     training loss differentiates through it."""
-    return T.scale(T.matmul(features, T.l2_normalize(weights)), DEFAULT_ALPHA)
+    return T.scale(T.matmul(rows, unit_weights), DEFAULT_ALPHA)
+
+
+def unit_rows(features: Tensor) -> Tensor:
+    """``classify``'s per-image half: an (h, w, c) map as (h*w, c) unit rows."""
+    h, w, c = features.shape
+    return T.reshape(T.l2_normalize(features), (h * w, c))
+
+
+def scorer(classifier: Classifier):
+    """``classify``'s per-classifier half: normalizes the prototype rows once
+    and returns the function from unit rows (n, c) to (labels, logits)."""
+    unit = T.l2_normalize(Tensor(classifier.weights))
+    ids = np.asarray(classifier.class_ids)
+
+    def score(rows: Tensor) -> tuple[np.ndarray, np.ndarray]:
+        logits = cosine_logits(rows, unit).data
+        # bounded by alpha, but float32 unit rows can exceed norm 1 by rounding;
+        # only inference clips, as a clipped training logit has no gradient
+        np.clip(logits, -DEFAULT_ALPHA, DEFAULT_ALPHA, out=logits)
+        return ids[np.argmax(logits, axis=-1)], logits
+
+    return score
 
 
 def classify(classifier: Classifier, features: Tensor) -> tuple[np.ndarray, np.ndarray]:
@@ -328,15 +350,6 @@ def classify(classifier: Classifier, features: Tensor) -> tuple[np.ndarray, np.n
     Returns (label mask, logits). Argmax of the scaled cosine scores equals
     argmax of the softmax in the output rule, so no softmax is materialized.
     """
-    h, w, c = features.shape
-    if c != classifier.embed_dim:
-        raise ShapeError(f"feature channels {c} != classifier dim {classifier.embed_dim}")
-    flat = T.reshape(T.l2_normalize(features), (h * w, c))
-    logits = cosine_logits(flat, Tensor(classifier.weights)).data
-    # inference logits are bounded by alpha, yet float32 unit rows can exceed
-    # norm 1 by rounding; the training loss leaves its logits unclipped, as a
-    # clipped logit has no gradient
-    np.clip(logits, -DEFAULT_ALPHA, DEFAULT_ALPHA, out=logits)
-    logits = logits.reshape(h, w, classifier.num_classes)
-    ids = np.asarray(classifier.class_ids)
-    return ids[np.argmax(logits, axis=-1)], logits
+    h, w, _ = features.shape
+    labels, logits = scorer(classifier)(unit_rows(features))
+    return labels.reshape(h, w), logits.reshape(h, w, classifier.num_classes)

@@ -51,8 +51,8 @@ class SceneConfig:
 
     def __post_init__(self):
         check_field_types(self)
-        if self.num_foreground < NUM_SPLITS:
-            raise ConfigError("need at least one foreground class per split")
+        if not NUM_SPLITS <= self.num_foreground < IGNORE_LABEL:  # an 8-bit mask holds the ids
+            raise ConfigError(f"num_foreground must be in [{NUM_SPLITS}, {IGNORE_LABEL - 1}]")
         if self.num_foreground % NUM_SPLITS != 0:
             raise ConfigError("foreground classes must divide evenly into 4 splits")
         if not 0.0 <= self.cooc_prob <= 1.0:
@@ -392,15 +392,18 @@ def load_manifest(path: str) -> DatasetManifest:
     try:
         classes = doc["classes"]
         if not isinstance(classes, list) or not all(
-            isinstance(c, dict) and _is_int(c.get("id")) and isinstance(c.get("name"), str)
-            and c.get("role") in (ROLE_BASE, ROLE_NOVEL) for c in classes
-        ):
-            raise ValueError("classes must be a list of objects with an integer id, "
-                             "a string name and a base or novel role")
+            isinstance(c, dict) and _is_int(c.get("id")) and 0 <= c["id"] < IGNORE_LABEL
+            and isinstance(c.get("name"), str) and c.get("role") in (ROLE_BASE, ROLE_NOVEL)
+            for c in classes
+        ) or len({c["id"] for c in classes}) != len(classes):
+            raise ValueError(f"classes must be a list of objects with a distinct integer id in "
+                             f"[0, {IGNORE_LABEL - 1}], a string name and a base or novel role")
+        if not (_is_int(doc["split_index"]) and _is_int(doc["seed"])):
+            raise ValueError("split_index and seed must be integers")
         return DatasetManifest(
             classes=classes,
-            split_index=int(doc["split_index"]),
-            seed=int(doc["seed"]),
+            split_index=doc["split_index"],
+            seed=doc["seed"],
             train=entries(doc["splits"]["train"]),
             support_pool=entries(doc["splits"]["support_pool"]),
             test=entries(doc["splits"]["test"]),

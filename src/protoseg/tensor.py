@@ -316,9 +316,12 @@ def take_row(a: Tensor, index: int) -> Tensor:
 def _im2col(a: np.ndarray, k: int) -> np.ndarray:
     """Zero-padded k x k patches of an (h, w, c) array as an (h*w, k*k*c) matrix."""
     h, w, c = a.shape
-    pad = k // 2
-    ap = np.pad(a, ((pad, pad), (pad, pad), (0, 0)))
-    return sliding_window_view(ap, (k, k, c)).reshape(h * w, k * k * c)
+    p = k // 2
+    padded = np.zeros((h + 2 * p, w + 2 * p, c), a.dtype)
+    padded[p : p + h, p : p + w] = a
+    # a patch is k runs of k*c values, each contiguous in a padded row
+    runs = sliding_window_view(padded.reshape(h + 2 * p, -1), (k, k * c))[:, ::c]
+    return runs.reshape(h * w, k * k * c)
 
 
 def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
@@ -350,7 +353,7 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
 
     def back(g):
         g2d = g.reshape(h * w, cout)
-        grads = [(kernel, (cols.T @ g2d).reshape(kernel.shape)), (bias, g2d.sum(axis=0))]
+        grads = [(kernel, (cols.T @ g2d).reshape(kernel.shape)), (bias, np.einsum("ij->j", g2d))]
         if need_dx:
             flipped = kern[::-1, ::-1].transpose(0, 1, 3, 2).reshape(kh * kw * cout, cin)
             grads.append((x, (_im2col(g, kh) @ flipped).reshape(h, w, cin)))

@@ -30,6 +30,7 @@ from .prototypes import (
     init_gamma_net,
     make_classifier,
     named_parameters,
+    unit_rows,
     update_rows,
 )
 from .scenes import DatasetManifest, load_pair
@@ -176,7 +177,7 @@ def _batch_ce(
     target = np.concatenate([lut[labels[i].reshape(-1)] for i in positions])
     if (target == -1).any():
         raise DataError("label id not covered by the classifier")
-    return T.softmax_cross_entropy(cosine_logits(stacked, weights), target)
+    return T.softmax_cross_entropy(cosine_logits(stacked, T.l2_normalize(weights)), target)
 
 
 def dual_loss(
@@ -192,7 +193,7 @@ def dual_loss(
     across the samples in each term. Without an updated classifier (a
     variant that does not rehearse) the loss is the first term alone."""
     lut = _label_lut(class_ids)
-    flat = [T.reshape(T.l2_normalize(f), (f.shape[0] * f.shape[1], f.shape[2])) for f in feats]
+    flat = [unit_rows(f) for f in feats]
     l_cls = _batch_ce(flat, masks, range(len(feats)), weights, lut)
     if updated is None:
         return l_cls, {"l_cls": float(l_cls.data), "l_update": float(l_cls.data)}

@@ -587,6 +587,16 @@ DROP = object()
         pytest.param(("splits", "test", 0, "image"), 5, id="test-image-not-a-string"),
         pytest.param(("splits", "test", 0, "mask"), None, id="test-mask-not-a-string"),
         pytest.param(("splits", "support_pool", 0, "novel_id"), "q", id="novel-id-not-an-integer"),
+        pytest.param(("classes", 5, "id"), 3, id="class-id-duplicated"),
+        pytest.param(("classes", 8, "id"), 300, id="class-id-above-an-8-bit-mask"),
+        pytest.param(("classes", 8, "id"), 255, id="class-id-the-ignore-label"),
+        pytest.param(("classes", 8, "id"), -1, id="class-id-negative"),
+        pytest.param(("split_index",), 3.7, id="split-index-a-float"),
+        pytest.param(("split_index",), "0", id="split-index-a-string"),
+        pytest.param(("split_index",), True, id="split-index-a-bool"),
+        pytest.param(("seed",), 3.7, id="seed-a-float"),
+        pytest.param(("seed",), "3", id="seed-a-string"),
+        pytest.param(("seed",), True, id="seed-a-bool"),
     ],
 )
 def test_malformed_manifest_entry_exits_2(workspace, tmp_path, where, value):

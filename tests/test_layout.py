@@ -30,6 +30,13 @@ def test_one_masked_sum_taker():
     assert _source().count("T.masked_sum(") == 1
 
 
+def test_one_inference_scoring_path():
+    # the cosine head is called by training's loss and classify's
+    # per-classifier half, which every inference path scores through
+    text = _source()
+    assert text.count("cosine_logits(") - text.count("def cosine_logits(") == 2
+
+
 def test_one_json_file_reader():
     assert _source().count("json.load(") == 1
 

@@ -11,6 +11,7 @@ from protoseg.model import from_train_state
 from protoseg.protocols import (
     model_for_variant,
     register_for_variant,
+    report_to_json,
     run_ablation,
     run_fs_protocol,
     run_gfs_protocol,
@@ -97,6 +98,39 @@ def test_registration_purity_before_after_predictions(world):
     register_for_variant(model, supports)
     after, _ = classify(model.classifier, feats)
     assert np.array_equal(before, after)
+
+
+def gfs_oracle(model, manifest, k, seeds):
+    """The gfs protocol without a cache: each seed registers its supports,
+    then reloads, re-extracts and classifies every test image."""
+    from protoseg.backbone import extract_features
+    from protoseg.metrics import ConfusionMatrix, mean_report, summarize_confusion
+    from protoseg.prototypes import classify
+    from protoseg.scenes import load_pair
+    from protoseg.tensor import IGNORE_LABEL
+
+    per_seed = []
+    for seed in seeds if k else (None,):
+        clf = model.classifier
+        if k:
+            clf = register_for_variant(model, sample_support_set(manifest, k, seed))
+        cm = ConfusionMatrix(clf.class_ids)
+        for entry in manifest.test:
+            image, truth = load_pair(manifest, entry)
+            if not k:
+                truth = np.where(np.isin(truth, clf.class_ids), truth, IGNORE_LABEL)
+            pred, _ = classify(clf, extract_features(model.backbone, image))
+            cm.accumulate(pred, truth)
+        per_seed.append(summarize_confusion(cm, clf.roles, seed=seed))
+    return mean_report(per_seed)
+
+
+@pytest.mark.parametrize("k", [1, 5, None])
+def test_gfs_protocol_equals_the_uncached_oracle(world, k):
+    manifest, models = world
+    got = run_gfs_protocol(models["capl"], manifest, k, seeds=(123, 321))
+    want = gfs_oracle(models["capl"], manifest, k, seeds=(123, 321))
+    assert report_to_json(got, {}) == report_to_json(want, {})
 
 
 def test_fs_protocol_smoke(world):

@@ -293,6 +293,7 @@ def test_config_validation():
         ("context_tint", 1.5),
         ("color_jitter", float("inf")),
         pytest.param("noise", 10**400, id="noise-huge_int"),
+        pytest.param("num_foreground", 256, id="num_foreground-beyond-an-8-bit-mask"),
     ],
 )
 def test_scene_config_rejects_bad_values_at_construction(field, value):

@@ -4,6 +4,7 @@ import zlib
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 import protoseg.tensor as T
 from protoseg.errors import (
@@ -118,6 +119,19 @@ def test_conv2d_backward_matches_loop_oracle(cin, ksize):
     np.testing.assert_allclose(grads[id(xt)], dx, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(grads[id(kt)], dk, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(grads[id(bt)], db, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("k", [1, 3, 5])
+@pytest.mark.parametrize("c", [1, 3, 16])
+def test_im2col_equals_windows_of_the_padded_array(k, c, dtype):
+    a = np.random.default_rng(10 * k + c).uniform(-2, 2, (5, 7, c)).astype(dtype)
+    p = k // 2
+    padded = np.pad(a, ((p, p), (p, p), (0, 0)))
+    want = sliding_window_view(padded, (k, k, c)).reshape(5 * 7, k * k * c)
+    got = T._im2col(a, k)
+    assert got.dtype == dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 def test_conv2d_skips_dx_for_input_without_grad():

@@ -28,12 +28,12 @@ from dataclasses import asdict
 import numpy as np
 
 from .backbone import IN_CHANNELS, BackboneParams
-from .errors import FormatError, IoError, ProtosegError
+from .errors import FormatError, IoError, ProtosegError, RangeError
 from .model import DEFAULT_AMP_GAMMA, EvalModel, from_train_state
 from .netpbm import atomic_write
 from .prototypes import (
-    DEFAULT_ALPHA, ROLE_BASE, ROLE_NOVEL, GammaNet, make_classifier, named_parameters,
-    parameters_from_named,
+    DEFAULT_ALPHA, ROLE_BASE, ROLE_NOVEL, GammaNet, check_gamma, make_classifier,
+    named_parameters, parameters_from_named,
 )
 from .tensor import Tensor
 from .training import VARIANT_KINDS, TrainConfig, TrainState, make_variant
@@ -218,9 +218,11 @@ def _params_from(doc: dict, trainable: bool) -> tuple[BackboneParams, Tensor, Ga
     return backbone, weights, gammanet
 
 
-def _is_gamma(value) -> bool:
-    real = isinstance(value, (int, float)) and not isinstance(value, bool)
-    return real and 0 <= value <= 1
+def _check_meta_gamma(path: str, key: str, value) -> None:
+    try:
+        check_gamma(value)
+    except RangeError as exc:
+        raise FormatError(f"{path}: bad {key}: {exc}") from exc
 
 
 def load_checkpoint(path: str) -> EvalModel:
@@ -237,10 +239,9 @@ def load_checkpoint(path: str) -> EvalModel:
     amp = meta.get("amp_gamma", DEFAULT_AMP_GAMMA)
     if variant not in VARIANT_KINDS:
         raise FormatError(f"{path}: unknown variant {variant!r}")
-    if converged is not None and not _is_gamma(converged):
-        raise FormatError(f"{path}: converged_gamma must be null or in [0, 1], got {converged!r}")
-    if not _is_gamma(amp):
-        raise FormatError(f"{path}: amp_gamma must be a number in [0, 1], got {amp!r}")
+    if converged is not None:
+        _check_meta_gamma(path, "converged_gamma", converged)
+    _check_meta_gamma(path, "amp_gamma", amp)
 
     known = {"variant", "converged_gamma", "amp_gamma"}
     return EvalModel(

@@ -21,9 +21,6 @@ from .prototypes import init_gamma_net, named_parameters, parameters_from_named
 from .tensor import GradCheckReport, Tensor, gradient_check, op_forward
 from .training import FakeSplit, build_updated_classifier, dual_loss
 
-DEFAULT_TRIALS = 5
-
-
 @contextmanager
 def corrupted_op(kind: str):
     """Scale an op's forward output by 1 + 1e-3 after it is recorded, leaving
@@ -51,7 +48,7 @@ def _scalarize(out: Tensor, weights: np.ndarray) -> Tensor:
 
 
 def _op_probes(rng):
-    def away_from_zero(shape, margin=1e-3):
+    def away_from_zero(shape, margin):
         x = rng.uniform(-2, 2, shape)
         return np.where(np.abs(x) < margin, x + np.sign(x + 0.5) * margin, x)
 
@@ -112,7 +109,7 @@ def _op_probes(rng):
     }
 
 
-def run_op_checks(trials: int = DEFAULT_TRIALS) -> list[tuple[str, GradCheckReport]]:
+def run_op_checks(trials: int) -> list[tuple[str, GradCheckReport]]:
     """Worst report per op kind over the given number of randomized probes."""
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")

@@ -73,7 +73,7 @@ def iou_per_class(cm: ConfusionMatrix) -> dict[int, float | None]:
             for i, cid in enumerate(cm.class_ids)}
 
 
-def miou(cm: ConfusionMatrix, roles: dict[int, str], role_filter: str = "all") -> float:
+def miou(cm: ConfusionMatrix, roles: dict[int, str], role_filter: str) -> float:
     """Mean IoU over classes passing the role filter; zero-union classes excluded."""
     if role_filter not in ROLE_FILTERS:
         raise DataError(f"unknown role filter {role_filter!r}")
@@ -128,9 +128,7 @@ class MetricsReport:
         }
 
 
-def summarize_confusion(
-    cm: ConfusionMatrix, roles: dict[int, str], seed: int | None = None
-) -> SeedMetrics:
+def summarize_confusion(cm: ConfusionMatrix, roles: dict[int, str], seed: int | None) -> SeedMetrics:
     per_class = iou_per_class(cm)
     has_novel = any(roles.get(cid) == "novel" for cid in cm.class_ids)
     return SeedMetrics(

@@ -1,6 +1,6 @@
 """Binary PPM (P6) and PGM (P5) readers/writers, 8-bit only, and the file
-primitives the whole package shares: the atomic writer, directory creation
-and the JSON document reader.
+primitives the whole package shares: the atomic writer, the CSV writer,
+directory creation and the JSON document reader.
 
 Images map [0, 1] floats to bytes by round(v * 255) and back to float32 by
 /255, so a write-read round trip is lossless at 8-bit quantization; masks
@@ -9,6 +9,8 @@ round-trip bitwise.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import os
 
@@ -38,6 +40,15 @@ def atomic_write(path: str, payload: bytes) -> None:
         except OSError:
             pass
         raise IoError(f"cannot write {path}: {exc}") from exc
+
+
+def write_csv(path: str, fieldnames: list[str], rows: list[dict]) -> None:
+    """Write ``rows`` under a header of ``fieldnames`` through ``atomic_write``."""
+    buf = io.StringIO(newline="")
+    writer = csv.DictWriter(buf, fieldnames=fieldnames)
+    writer.writeheader()
+    writer.writerows(rows)
+    atomic_write(path, buf.getvalue().encode())
 
 
 def make_dirs(path: str) -> None:
@@ -114,20 +125,26 @@ def write_ppm(path: str, image: np.ndarray) -> None:
     atomic_write(path, header + quantized.tobytes())
 
 
-def read_ppm(path: str) -> np.ndarray:
-    """Read a binary P6 file as an (h, w, 3) float32 image: byte k becomes
-    float32(k) / 255. float32 is the precision the backbone then runs at."""
+def _read_raster(path: str, magic: bytes, depth: int) -> np.ndarray:
+    """The (h, w, depth) uint8 payload of a binary netpbm file; an ``IoError``
+    if it cannot be read, a ``FormatError`` for a bad header or length."""
     try:
-        data = open(path, "rb").read()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
-    w, h, pos = _read_header(data, b"P6", path)
-    need = w * h * 3
+    w, h, pos = _read_header(data, magic, path)
+    need = w * h * depth
     payload = data[pos : pos + need]
     if len(payload) != need:
         raise FormatError(f"{path}: payload is {len(payload)} bytes, need {need}")
-    raw = np.frombuffer(payload, dtype=np.uint8).reshape(h, w, 3)
-    return raw.astype(np.float32) / MAXVAL
+    return np.frombuffer(payload, dtype=np.uint8).reshape(h, w, depth)
+
+
+def read_ppm(path: str) -> np.ndarray:
+    """Read a binary P6 file as an (h, w, 3) float32 image: byte k becomes
+    float32(k) / 255. float32 is the precision the backbone then runs at."""
+    return _read_raster(path, b"P6", 3).astype(np.float32) / MAXVAL
 
 
 def write_pgm(path: str, mask: np.ndarray) -> None:
@@ -143,13 +160,5 @@ def write_pgm(path: str, mask: np.ndarray) -> None:
 
 
 def read_pgm(path: str) -> np.ndarray:
-    try:
-        data = open(path, "rb").read()
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
-    w, h, pos = _read_header(data, b"P5", path)
-    need = w * h
-    payload = data[pos : pos + need]
-    if len(payload) != need:
-        raise FormatError(f"{path}: payload is {len(payload)} bytes, need {need}")
-    return np.frombuffer(payload, dtype=np.uint8).reshape(h, w).astype(np.int64)
+    """Read a binary P5 file as an (h, w) int64 mask."""
+    return _read_raster(path, b"P5", 1)[:, :, 0].astype(np.int64)

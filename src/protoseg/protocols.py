@@ -10,9 +10,7 @@ scene once per call, summing the cached parts in every episode that draws it.
 
 from __future__ import annotations
 
-import csv
 import hashlib
-import io
 import json
 import os
 from dataclasses import asdict, replace
@@ -24,7 +22,7 @@ from .backbone import extract_features
 from .errors import ConfigError, DataError, ProtosegError
 from .metrics import ConfusionMatrix, MetricsReport, iou_per_class, mean_report, summarize_confusion
 from .model import EvalModel, from_train_state
-from .netpbm import atomic_write, make_dirs
+from .netpbm import make_dirs, write_csv
 from .prototypes import (
     ROLE_NOVEL,
     SupportSet,
@@ -40,9 +38,6 @@ from .prototypes import (
 from .scenes import DatasetManifest, load_pair, sample_support_set
 from .tensor import IGNORE_LABEL, Tensor
 from .training import TrainConfig, load_train_data, make_variant, train
-
-DEFAULT_SEEDS = (123, 321, 456, 654, 999)
-DEFAULT_FS_EPISODES = 500
 
 
 # the EvalModel field that holds each gamma mode's gate
@@ -76,12 +71,12 @@ def run_gfs_protocol(
     model: EvalModel,
     manifest: DatasetManifest,
     k: int | None,
-    seeds=DEFAULT_SEEDS,
+    seeds,
 ) -> MetricsReport:
     """Register novel classes per seed, score every test image, average seeds.
 
-    ``k`` falsy runs a base-only pass: no supports, and test pixels of
-    unregistered classes are treated as ignore.
+    ``k`` falsy runs a base-only pass: no supports and no use of ``seeds``,
+    and test pixels of unregistered classes are treated as ignore.
     """
     if not manifest.test:
         raise DataError("manifest has an empty test set")
@@ -126,8 +121,8 @@ def run_fs_protocol(
     model: EvalModel,
     manifest: DatasetManifest,
     k: int,
-    episodes: int = DEFAULT_FS_EPISODES,
-    seed: int = 0,
+    episodes: int,
+    seed: int,
 ) -> dict:
     """One-way binary episodes: foreground prototype from K shots, background
     prototype from the shots' remaining pixels, then IoU of the foreground on
@@ -210,8 +205,8 @@ def trained_model_for_scheme(
     scheme: str,
     manifest: DatasetManifest,
     config: TrainConfig,
-    cache_dir: str | None = None,
-    class_names: dict[int, str] | None = None,
+    cache_dir: str | None,
+    class_names: dict[int, str] | None,
 ) -> EvalModel:
     """Train (or reload from the cache) one underlying training scheme."""
     path = None
@@ -233,7 +228,7 @@ def model_for_variant(
     kind: str,
     manifest: DatasetManifest,
     config: TrainConfig,
-    cache_dir: str | None = None,
+    cache_dir: str | None,
 ) -> EvalModel:
     """Resolve a variant to its trained model, wiring in the converged gamma
     from the full adaptive run where the variant calls for it."""
@@ -251,9 +246,9 @@ def run_ablation(
     manifest: DatasetManifest,
     shots_list,
     variant_kinds,
-    seeds=DEFAULT_SEEDS,
-    config: TrainConfig = TrainConfig(),
-    cache_dir: str | None = None,
+    seeds,
+    config: TrainConfig,
+    cache_dir: str | None,
 ) -> list[dict]:
     """Rows of (variant, shots, seed, base, novel, total) over the grid."""
     rows = []
@@ -276,11 +271,7 @@ def run_ablation(
 
 
 def write_ablation_csv(rows: list[dict], path: str) -> None:
-    buf = io.StringIO(newline="")
-    writer = csv.DictWriter(buf, fieldnames=["variant", "shots", "seed", "base", "novel", "total"])
-    writer.writeheader()
-    writer.writerows(rows)
-    atomic_write(path, buf.getvalue().encode())
+    write_csv(path, ["variant", "shots", "seed", "base", "novel", "total"], rows)
 
 
 def report_to_json(report: MetricsReport, config_echo: dict) -> str:

@@ -14,6 +14,7 @@ too: the update that training rehearses is the one applied at inference.
 from __future__ import annotations
 
 import functools
+import numbers
 import re
 from dataclasses import dataclass, field
 
@@ -212,8 +213,10 @@ def gamma_forward(net: GammaNet, p_cls: Tensor, p_feat: Tensor) -> Tensor:
 
 
 def check_gamma(gamma) -> None:
-    """The one range rule for a gate value: a ``RangeError`` outside [0, 1],
-    NaN included."""
+    """The one rule for a gate value: a ``RangeError`` for a bool or another
+    non-real, and for a real outside [0, 1], NaN included."""
+    if isinstance(gamma, bool) or not isinstance(gamma, numbers.Real):
+        raise RangeError(f"gamma {gamma!r} is not a real number")
     if not 0.0 <= gamma <= 1.0:
         raise RangeError(f"gamma {gamma} outside [0, 1]")
 

@@ -13,8 +13,6 @@ enrichment on or off to reproduce the ablation grid.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,7 +20,7 @@ import numpy as np
 from . import tensor as T
 from .backbone import BackboneParams, extract_features, init_backbone
 from .errors import ConfigError, DataError, NumericalError, check_field_types
-from .netpbm import atomic_write
+from .netpbm import write_csv
 from .prototypes import (
     ROLE_BASE,
     GammaNet,
@@ -374,8 +372,4 @@ def train(config: TrainConfig, data: TrainData, variant: VariantSpec) -> TrainSt
 
 
 def write_curve(state: TrainState, path: str) -> None:
-    buf = io.StringIO(newline="")
-    writer = csv.DictWriter(buf, fieldnames=["step", "l_cls", "l_update", "loss", "mean_gamma"])
-    writer.writeheader()
-    writer.writerows(state.curve)
-    atomic_write(path, buf.getvalue().encode())
+    write_csv(path, ["step", "l_cls", "l_update", "loss", "mean_gamma"], state.curve)

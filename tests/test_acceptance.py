@@ -101,7 +101,7 @@ def grid(tmp_path_factory):
         g.reports[(fold, "capl", 1)] = run_gfs_protocol(g.models[(fold, "capl")], manifest, 1, SEEDS)
         for kind in ("baseline", "capl"):
             g.reports[(fold, kind, None)] = run_gfs_protocol(
-                g.models[(fold, kind)], manifest, None
+                g.models[(fold, kind)], manifest, None, SEEDS
             )
     g.comparison_seconds = comparison
     return g

@@ -8,8 +8,10 @@ import pytest
 
 from protoseg.backbone import init_backbone
 from protoseg.checkpoint import load_checkpoint, load_train_state, save_checkpoint
+from protoseg.cli import main
 from protoseg.errors import FormatError, IoError
 from protoseg.model import EvalModel
+from protoseg.netpbm import write_ppm
 from protoseg.prototypes import init_gamma_net, make_classifier, named_parameters
 from protoseg.tensor import Tensor
 
@@ -173,6 +175,19 @@ def test_bad_variant_meta_is_format_error(tmp_path, key, value):
     save_checkpoint(path, model)
     with pytest.raises(FormatError, match=key):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("key", ["converged_gamma", "amp_gamma"])
+@pytest.mark.parametrize("value", [True, "0.5", 1.5, float("nan")])
+def test_meta_gamma_that_check_gamma_rejects_exits_3(tmp_path, capsys, key, value):
+    model = _model()
+    model.meta[key] = value
+    path = str(tmp_path / "m.ckpt")
+    save_checkpoint(path, model)
+    image = str(tmp_path / "x.ppm")
+    write_ppm(image, np.zeros((4, 4, 3)))
+    assert main(["predict", "--model", path, "--image", image, "--out", str(tmp_path / "p.pgm")]) == 3
+    assert key in capsys.readouterr().err
 
 
 def test_train_state_meta_round_trips(tmp_path):

@@ -11,10 +11,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from protoseg import errors
+from protoseg import errors, gradcheck
 from protoseg.checkpoint import load_checkpoint, save_checkpoint
 from protoseg.cli import main
-from protoseg.errors import ConfigError, FormatError, ProtosegError
+from protoseg.errors import ConfigError, FormatError, ProtosegError, UnsupportedOp
 from protoseg.netpbm import read_pgm
 from protoseg.scenes import load_manifest
 
@@ -435,7 +435,8 @@ def test_bad_list_or_shot_flag_exits_2_and_writes_nothing(workspace, tmp_path, c
 
 def test_gradcheck_passes_and_corruption_fails():
     assert main(["gradcheck", "--trials", "2"]) == 0
-    assert main(["gradcheck", "--trials", "2", "--corrupt-op", "sigmoid"]) == 1
+    with gradcheck.corrupted_op("sigmoid"):
+        assert main(["gradcheck", "--trials", "2"]) == 1
 
 
 @pytest.mark.parametrize("trials", ["0", "-1"])
@@ -445,8 +446,10 @@ def test_gradcheck_without_trials_exits_2_before_any_check(trials, capsys):
     assert out == "" and "trials" in err
 
 
-def test_gradcheck_unknown_op_exits_2():
-    assert main(["gradcheck", "--trials", "1", "--corrupt-op", "fft"]) == 2
+def test_corrupting_an_unknown_op_kind_is_unsupported():
+    with pytest.raises(UnsupportedOp):
+        with gradcheck.corrupted_op("fft"):
+            pass
 
 
 SHOTS = ("--shots", "1")

@@ -5,7 +5,10 @@ import argparse
 import ast
 import dataclasses
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 from protoseg.cli import build_parser
 from protoseg.scenes import SceneConfig
@@ -53,10 +56,28 @@ def test_every_imported_name_is_used():
                 for alias in node.names:
                     imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
         used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-        # a string equal to the name also counts: the entries of __all__
-        used |= {n.value for n in ast.walk(tree) if isinstance(n, ast.Constant)}
         unused += [f"{path.name}:{line} {n}" for n, line in imported.items() if n not in used]
     assert unused == []
+
+
+def test_package_root_imports_nothing():
+    # callers import from the modules; the root keeps only its docstring
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    assert not [n for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))]
+
+
+def test_every_module_imports_alone():
+    # no package-root import fixes an import order, so each module must
+    # import in a fresh interpreter without a cycle
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    failed = []
+    for path in sorted(SRC.glob("*.py")):
+        name = f"protoseg.{path.stem}"
+        run = subprocess.run([sys.executable, "-c", f"import {name}"], env=env,
+                             capture_output=True, text=True)
+        if run.returncode:
+            failed.append(f"{name}: {run.stderr.strip().splitlines()[-1]}")
+    assert failed == []
 
 
 def test_exit_codes_are_assigned_only_on_the_error_classes():
@@ -81,8 +102,10 @@ def test_train_config_has_only_the_fields_the_shipped_config_sets():
 # functions: 36 + 20 + 29 when this guard was added, 36 + 20 + 28 once the
 # cosine scale stopped being a make_classifier parameter, 36 + 20 + 27 once
 # tensor.scale lost its beta, 36 + 20 + 25 once tensor.matmul lost
-# transpose_b and tensor.concat lost axis
-SETTABLE_VALUES_CEILING = 81
+# transpose_b and tensor.concat lost axis, 35 + 20 + 10 once gradcheck lost
+# --corrupt-op and 15 defaulted parameters that no program caller relied on
+# (the protocols' seeds, episodes and cache defaults live in the CLI only)
+SETTABLE_VALUES_CEILING = 65
 
 
 def _settable_values() -> list[str]:

@@ -62,9 +62,9 @@ def test_gfs_protocol_is_deterministic(world):
 
 def test_gfs_base_only_pass(world):
     manifest, models = world
-    report = run_gfs_protocol(models["baseline"], manifest, None)
+    report = run_gfs_protocol(models["baseline"], manifest, None, seeds=(123,))
     assert report.novel_miou is None
-    assert report.seeds == [None]
+    assert report.seeds == [None]  # a base-only pass draws no supports
     assert 0.0 <= report.base_miou <= 1.0
     # novel truth pixels were ignored, not scored against base classes
     per_class_ids = set(report.per_class)
@@ -224,15 +224,15 @@ def test_fs_protocol_extracts_each_drawn_scene_once(world, monkeypatch):
 def test_fs_protocol_validates_arguments(world):
     manifest, models = world
     with pytest.raises(ConfigError):
-        run_fs_protocol(models["capl"], manifest, k=1, episodes=0)
+        run_fs_protocol(models["capl"], manifest, k=1, episodes=0, seed=0)
     with pytest.raises(DataError):
-        run_fs_protocol(models["capl"], manifest, k=999, episodes=1)
+        run_fs_protocol(models["capl"], manifest, k=999, episodes=1, seed=0)
 
 
 def test_fs_and_support_sampling_reject_a_short_pool_alike(world):
     manifest, models = world
     with pytest.raises(DataError) as fs:
-        run_fs_protocol(models["capl"], manifest, k=999, episodes=1)
+        run_fs_protocol(models["capl"], manifest, k=999, episodes=1, seed=0)
     with pytest.raises(DataError) as draw:
         sample_support_set(manifest, 999, seed=0)
     assert str(fs.value) == str(draw.value)

@@ -269,18 +269,16 @@ def test_dual_loss_end_to_end_gradients_pass_fd_check():
         loss, _ = dual_loss(weights_t, updated, feats, masks, query, (0, 1, 2))
         return loss
 
-    report = gradient_check(lambda t: full_loss(t), Tensor(weights0), tol=1e-4)
+    report = gradient_check(lambda t: full_loss(t), Tensor(weights0))
     assert report.passed, f"classifier weights: {report}"
 
     k0 = backbone.layers[0][0]
     report = gradient_check(
-        lambda t: full_loss(Tensor(weights0), kernel_override=t), Tensor(k0.data), tol=1e-4
+        lambda t: full_loss(Tensor(weights0), kernel_override=t), Tensor(k0.data)
     )
     assert report.passed, f"backbone kernel: {report}"
 
-    report = gradient_check(
-        lambda t: full_loss(Tensor(weights0), gamma_w2=t), Tensor(net.w2.data), tol=1e-4
-    )
+    report = gradient_check(lambda t: full_loss(Tensor(weights0), gamma_w2=t), Tensor(net.w2.data))
     assert report.passed, f"gate w2: {report}"
 
 

@@ -24,7 +24,6 @@ class BackboneParams:
     """Conv-layer parameters; final layer's output channels == embed_dim."""
 
     layers: list[tuple[Tensor, Tensor]] = field(default_factory=list)
-    embed_dim: int = 0
 
     def tensors(self) -> list[tuple[str, Tensor]]:
         named = []
@@ -47,7 +46,7 @@ def init_backbone(c: int, layers: int, seed) -> BackboneParams:
     if layers < 1:
         raise ConfigError(f"need at least one layer, got {layers}")
     rng = np.random.default_rng(seed)
-    params = BackboneParams(embed_dim=c)
+    params = BackboneParams()
     c_in = IN_CHANNELS
     for li in range(layers):
         fan_in = KERNEL_SIZE * KERNEL_SIZE * c_in

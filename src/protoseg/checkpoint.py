@@ -4,8 +4,9 @@ Layout (all integers little-endian):
 
     magic "CAPL" | u8 version | u8 endian flag (1 = little) | u16 reserved
     u32 embed_dim | f64 alpha (must equal prototypes.DEFAULT_ALPHA)
-    u32 n_classes, then per class: u32 id | u8 role (0 base, 1 novel)
-                                   | u16 name_len | name utf-8
+    u32 n_classes, then per class: u32 id (< 255) | u8 role (0 base, 1 novel)
+                                   | u16 name_len | name utf-8 (class_name(id):
+                                   loaders check the UTF-8, then drop it)
     u32 meta_len | meta JSON utf-8
     u32 n_tensors, then per tensor: u16 name_len | name utf-8 | u8 dtype
                                     (0 = f64, 1 = f32) | u8 ndim | u32 dims...
@@ -32,10 +33,10 @@ from .errors import FormatError, IoError, ProtosegError, RangeError
 from .model import DEFAULT_AMP_GAMMA, EvalModel, from_train_state
 from .netpbm import atomic_write
 from .prototypes import (
-    DEFAULT_ALPHA, ROLE_BASE, ROLE_NOVEL, GammaNet, check_gamma, make_classifier,
+    DEFAULT_ALPHA, ROLE_BASE, ROLE_NOVEL, GammaNet, check_gamma, class_name, make_classifier,
     named_parameters, parameters_from_named,
 )
-from .tensor import Tensor
+from .tensor import IGNORE_LABEL, Tensor
 from .training import VARIANT_KINDS, TrainConfig, TrainState, make_variant
 
 MAGIC = b"CAPL"
@@ -59,7 +60,7 @@ def save_checkpoint(
     clf = model.classifier
     buf.write(struct.pack("<I", clf.num_classes))
     for cid in clf.class_ids:
-        name = model.name_of(cid).encode()
+        name = class_name(cid).encode()
         buf.write(struct.pack("<IBH", cid, _ROLE_CODE[clf.roles[cid]], len(name)))
         buf.write(name)
 
@@ -141,14 +142,16 @@ def _read_all(path: str) -> dict:
         raise FormatError(f"{path}: cosine scale {alpha} is not the {DEFAULT_ALPHA} applied")
 
     (n_classes,) = r.unpack("<I")
-    class_ids, roles, names = [], {}, {}
+    class_ids, roles = [], {}
     for _ in range(n_classes):
         cid, role_code, name_len = r.unpack("<IBH")
+        if cid >= IGNORE_LABEL:
+            raise FormatError(f"{path}: class id {cid} outside [0, {IGNORE_LABEL - 1}]")
         if role_code not in _CODE_ROLE:
             raise FormatError(f"{path}: unknown role code {role_code}")
         class_ids.append(cid)
         roles[cid] = _CODE_ROLE[role_code]
-        names[cid] = r.text(name_len)
+        r.text(name_len)
 
     (meta_len,) = r.unpack("<I")
     try:
@@ -174,6 +177,8 @@ def _read_all(path: str) -> dict:
         if name in tensors:
             raise FormatError(f"{path}: duplicate tensor {name}")
         try:
+            # a zero dim leaves no payload, yet numpy still refuses a shape
+            # whose other dims overflow its size, such as (0, 2**32-1, 2**32-1)
             tensors[name] = arr.astype(np.float64).reshape(dims)
         except ValueError as exc:
             raise FormatError(f"{path}: bad shape {dims} for tensor {name}: {exc}") from exc
@@ -183,7 +188,6 @@ def _read_all(path: str) -> dict:
         "embed_dim": embed_dim,
         "class_ids": class_ids,
         "roles": roles,
-        "names": names,
         "meta": meta,
         "tensors": tensors,
     }
@@ -196,7 +200,7 @@ def _params_from(doc: dict, trainable: bool) -> tuple[BackboneParams, Tensor, Ga
     path, c = doc["path"], doc["embed_dim"]
     named = {n: Tensor(arr, requires_grad=trainable) for n, arr in doc["tensors"].items()}
     try:
-        backbone, weights, gammanet = parameters_from_named(named, c)
+        backbone, weights, gammanet = parameters_from_named(named)
     except KeyError as exc:
         raise FormatError(f"{path}: missing tensor {exc}") from exc
     cin = IN_CHANNELS
@@ -251,7 +255,6 @@ def load_checkpoint(path: str) -> EvalModel:
         variant_kind=variant,
         converged_gamma=converged,
         amp_gamma=amp,
-        class_names=doc["names"],
         meta={k: v for k, v in meta.items() if k not in known},
     )
 
@@ -261,10 +264,11 @@ def load_checkpoint(path: str) -> EvalModel:
 # ---------------------------------------------------------------------------
 
 
-def save_train_state(path: str, state, class_names=None, store_f32: bool = False) -> None:
+def save_train_state(path: str, state, store_f32: bool = False) -> None:
     """Persist a training run so it can continue bitwise-identically: model
-    tensors plus momentum buffers ("opt.*") and generator states in the meta."""
-    model = from_train_state(state, class_names)
+    tensors plus momentum buffers ("opt.*") and generator states in the meta.
+    The loss curve is not kept: a resumed run's curve holds its own steps."""
+    model = from_train_state(state)
     model.meta["train_state"] = {
         "step": state.step,
         "config": asdict(state.config),

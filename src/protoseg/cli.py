@@ -108,7 +108,6 @@ def cmd_synth(args) -> int:
 def cmd_train(args) -> int:
     manifest = load_manifest(args.data)
     data = load_train_data(manifest)
-    names = {int(c["id"]): c["name"] for c in manifest.classes}
     if args.resume:
         state = load_train_state(args.resume)
         if args.variant and args.variant != state.variant.kind:
@@ -127,7 +126,7 @@ def cmd_train(args) -> int:
             raise ConfigError("--stop-after is before the resumed step")
         until = args.stop_after
     run_training_loop(state, data, until=until)
-    save_train_state(args.out, state, names)
+    save_train_state(args.out, state)
     write_curve(state, args.curve or f"{args.out}.curve.csv")
     print(args.out)
     return 0
@@ -306,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variants", default=",".join(VARIANT_KINDS))
     p.add_argument("--shots-list", default="1,5,10")
     p.add_argument("--seeds", default=SEEDS)
-    p.add_argument("--cache", help="checkpoint cache directory")
+    p.add_argument("--cache", required=True, help="checkpoint cache: each scheme trains once")
     p.add_argument("--out", required=True, help="output CSV")
     p.set_defaults(fn=cmd_ablate)
 

@@ -148,7 +148,7 @@ def run_end_to_end_check() -> list[tuple[str, GradCheckReport]]:
     def loss_with(name: str, probe: Tensor) -> Tensor:
         named = {n: Tensor(t.data, requires_grad=t.requires_grad) for n, t in params}
         named[name] = probe
-        bb, wt, gn = parameters_from_named(named, c)
+        bb, wt, gn = parameters_from_named(named)
         feats = [extract_features(bb, img) for img in images]
         updated, _ = build_updated_classifier(
             wt, class_ids, gn,

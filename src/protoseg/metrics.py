@@ -13,9 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, DegenerateError, ShapeError
+from .prototypes import ROLE_BASE, ROLE_NOVEL, row_table
 from .tensor import IGNORE_LABEL
-
-ROLE_FILTERS = ("base", "novel", "all")
 
 
 class ConfusionMatrix:
@@ -25,10 +24,7 @@ class ConfusionMatrix:
         self.class_ids = tuple(sorted(int(i) for i in class_ids))
         if len(set(self.class_ids)) != len(self.class_ids):
             raise DataError("duplicate class ids")
-        # class id -> matrix index; -1 marks an id that is not registered
-        self._lut = np.full(max(self.class_ids, default=-1) + 1, -1, dtype=np.int64)
-        for i, cid in enumerate(self.class_ids):
-            self._lut[cid] = i
+        self._rows = row_table(self.class_ids)
         n = len(self.class_ids)
         self.counts = np.zeros((n, n), dtype=np.int64)
 
@@ -55,9 +51,9 @@ class ConfusionMatrix:
         return self
 
     def _remap(self, values: np.ndarray, what: str) -> np.ndarray:
-        if values.min() < 0 or values.max() >= len(self._lut):
+        if values.min() < 0 or values.max() >= len(self._rows):
             raise DataError(f"unregistered class id in {what}")
-        mapped = self._lut[values]
+        mapped = self._rows[values]
         if (mapped < 0).any():
             raise DataError(f"unregistered class id in {what}")
         return mapped
@@ -74,9 +70,8 @@ def iou_per_class(cm: ConfusionMatrix) -> dict[int, float | None]:
 
 
 def miou(cm: ConfusionMatrix, roles: dict[int, str], role_filter: str) -> float:
-    """Mean IoU over classes passing the role filter; zero-union classes excluded."""
-    if role_filter not in ROLE_FILTERS:
-        raise DataError(f"unknown role filter {role_filter!r}")
+    """Mean IoU over the classes of role ``role_filter``, or over every class
+    for "all"; zero-union classes excluded."""
     values = [v for cid, v in iou_per_class(cm).items()
               if v is not None and role_filter in ("all", roles.get(cid))]
     if not values:
@@ -130,11 +125,11 @@ class MetricsReport:
 
 def summarize_confusion(cm: ConfusionMatrix, roles: dict[int, str], seed: int | None) -> SeedMetrics:
     per_class = iou_per_class(cm)
-    has_novel = any(roles.get(cid) == "novel" for cid in cm.class_ids)
+    has_novel = any(roles.get(cid) == ROLE_NOVEL for cid in cm.class_ids)
     return SeedMetrics(
         seed=seed,
-        base_miou=miou(cm, roles, "base"),
-        novel_miou=miou(cm, roles, "novel") if has_novel else None,
+        base_miou=miou(cm, roles, ROLE_BASE),
+        novel_miou=miou(cm, roles, ROLE_NOVEL) if has_novel else None,
         total_miou=miou(cm, roles, "all"),
         per_class=per_class,
     )

@@ -19,23 +19,16 @@ class EvalModel:
     variant_kind: str
     converged_gamma: float | None = None
     amp_gamma: float = DEFAULT_AMP_GAMMA
-    class_names: dict[int, str] = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
 
-    def name_of(self, class_id: int) -> str:
-        if class_id in self.class_names:
-            return self.class_names[class_id]
-        return "background" if class_id == 0 else f"class{class_id}"
 
-
-def from_train_state(state: TrainState, class_names: dict[int, str] | None = None) -> EvalModel:
+def from_train_state(state: TrainState) -> EvalModel:
     return EvalModel(
         backbone=state.backbone,
         classifier=state.classifier(),
         gammanet=state.gammanet,
         variant_kind=state.variant.kind,
         converged_gamma=state.converged_gamma(),
-        class_names=dict(class_names or {}),
         meta={
             "seed": state.config.seed,
             "steps": state.config.steps,

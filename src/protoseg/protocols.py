@@ -24,6 +24,7 @@ from .metrics import ConfusionMatrix, MetricsReport, iou_per_class, mean_report,
 from .model import EvalModel, from_train_state
 from .netpbm import make_dirs, write_csv
 from .prototypes import (
+    ROLE_BASE,
     ROLE_NOVEL,
     SupportSet,
     check_gamma,
@@ -164,7 +165,7 @@ def run_fs_protocol(
                 parts[u, i] = (masked_sum_part(feats, mask == u), masked_sum_part(feats, background))
         fg = mean_of_shots([parts[u, i][0] for i in picks]).data
         bg = pixel_weighted_combine([parts[u, i][1] for i in picks], len(fg))[0].data
-        clf = make_classifier([0, 1], np.stack([bg, fg]), {0: "base", 1: "novel"})
+        clf = make_classifier([0, 1], np.stack([bg, fg]), {0: ROLE_BASE, 1: ROLE_NOVEL})
 
         qi = int(rng.choice(queries[u]))
         if qi not in test_rows:
@@ -205,22 +206,17 @@ def trained_model_for_scheme(
     scheme: str,
     manifest: DatasetManifest,
     config: TrainConfig,
-    cache_dir: str | None,
-    class_names: dict[int, str] | None,
+    cache_dir: str,
 ) -> EvalModel:
-    """Train (or reload from the cache) one underlying training scheme."""
-    path = None
-    if cache_dir:
-        make_dirs(cache_dir)
-        digest = config_digest(config, manifest)
-        path = os.path.join(cache_dir, f"{scheme}_split{manifest.split_index}_{digest}.ckpt")
-        if os.path.exists(path):
-            return ckpt.load_checkpoint(path)
-    data = load_train_data(manifest)
-    state = train(config, data, make_variant(scheme))
-    model = from_train_state(state, class_names)
-    if path:
-        ckpt.save_checkpoint(path, model)
+    """Reload one underlying training scheme from the cache, or train it and
+    cache its checkpoint."""
+    make_dirs(cache_dir)
+    digest = config_digest(config, manifest)
+    path = os.path.join(cache_dir, f"{scheme}_split{manifest.split_index}_{digest}.ckpt")
+    if os.path.exists(path):
+        return ckpt.load_checkpoint(path)
+    model = from_train_state(train(config, load_train_data(manifest), make_variant(scheme)))
+    ckpt.save_checkpoint(path, model)
     return model
 
 
@@ -228,16 +224,15 @@ def model_for_variant(
     kind: str,
     manifest: DatasetManifest,
     config: TrainConfig,
-    cache_dir: str | None,
+    cache_dir: str,
 ) -> EvalModel:
     """Resolve a variant to its trained model, wiring in the converged gamma
     from the full adaptive run where the variant calls for it."""
-    names = {int(c["id"]): c["name"] for c in manifest.classes}
     variant = make_variant(kind)
-    model = trained_model_for_scheme(variant.scheme, manifest, config, cache_dir, names)
+    model = trained_model_for_scheme(variant.scheme, manifest, config, cache_dir)
     model = replace(model, variant_kind=kind)
     if variant.gamma_mode == "converged" and model.converged_gamma is None:
-        donor = trained_model_for_scheme("capl", manifest, config, cache_dir, names)
+        donor = trained_model_for_scheme("capl", manifest, config, cache_dir)
         model.converged_gamma = donor.converged_gamma
     return model
 
@@ -248,9 +243,10 @@ def run_ablation(
     variant_kinds,
     seeds,
     config: TrainConfig,
-    cache_dir: str | None,
+    cache_dir: str,
 ) -> list[dict]:
-    """Rows of (variant, shots, seed, base, novel, total) over the grid."""
+    """Rows of (variant, shots, seed, base, novel, total) over the grid; each
+    training scheme is trained once, through the checkpoint cache."""
     rows = []
     for kind in variant_kinds:
         model = model_for_variant(kind, manifest, config, cache_dir)

@@ -23,12 +23,25 @@ import numpy as np
 from . import tensor as T
 from .backbone import BackboneParams, extract_features
 from .errors import ConfigError, EmptyMaskError, NumericalError, RangeError, ShapeError
-from .tensor import Tensor
+from .tensor import IGNORE_LABEL, Tensor
 
 ROLE_BASE = "base"
 ROLE_NOVEL = "novel"
 BACKGROUND = 0
 DEFAULT_ALPHA = 10.0
+
+
+def class_name(cid: int) -> str:
+    """The one naming rule: "background" for class 0, ``class{id}`` otherwise."""
+    return "background" if cid == BACKGROUND else f"class{cid}"
+
+
+def row_table(class_ids) -> np.ndarray:
+    """The one label table: a class id (an 8-bit mask value) to its index in
+    ``class_ids``, with -1 for every id not listed."""
+    table = np.full(IGNORE_LABEL + 1, -1, dtype=np.int64)
+    table[np.asarray(class_ids, dtype=np.int64)] = np.arange(len(class_ids))
+    return table
 
 
 @dataclass(frozen=True)
@@ -124,9 +137,7 @@ def named_parameters(
     return named
 
 
-def parameters_from_named(
-    named: dict[str, Tensor], embed_dim: int
-) -> tuple[BackboneParams, Tensor, GammaNet | None]:
+def parameters_from_named(named: dict[str, Tensor]) -> tuple[BackboneParams, Tensor, GammaNet | None]:
     """Inverse of ``named_parameters``; other names are ignored. A missing
     tensor, including a gap in the backbone layer numbers, raises KeyError."""
     kernel = re.compile(r"backbone\.(\d+)\.kernel")
@@ -138,7 +149,7 @@ def parameters_from_named(
     gammanet = None
     if "gamma.w1" in named:
         gammanet = GammaNet(*(named[f"gamma.{n}"] for n in ("w1", "b1", "w2", "b2")))
-    return BackboneParams(layers, embed_dim), named["classifier.weights"], gammanet
+    return BackboneParams(layers), named["classifier.weights"], gammanet
 
 
 def init_gamma_net(c: int, seed: int) -> GammaNet:

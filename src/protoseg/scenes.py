@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, GenerationError, check_field_types
 from .netpbm import atomic_write, make_dirs, read_json, read_pgm, read_ppm, write_pgm, write_ppm
-from .prototypes import ROLE_BASE, ROLE_NOVEL, SupportSample, SupportSet
+from .prototypes import ROLE_BASE, ROLE_NOVEL, SupportSample, SupportSet, class_name
 from .tensor import IGNORE_LABEL, Tensor
 
 NUM_SPLITS = 4
@@ -278,10 +278,6 @@ class DatasetManifest:
     test: list[PairEntry]
     base_dir: str = "."
 
-    @property
-    def class_ids(self) -> tuple[int, ...]:
-        return tuple(sorted(int(c["id"]) for c in self.classes))
-
     def ids_with_role(self, role: str) -> tuple[int, ...]:
         return tuple(sorted(int(c["id"]) for c in self.classes if c["role"] == role))
 
@@ -353,10 +349,10 @@ def build_dataset(config: SceneConfig, split_index: int, out_dir: str) -> Datase
         image, mask = generate_scene(config, novel, allowed_all, scene_rng(2, i))
         test_entries.append(PairEntry(*emit(f"test_{i:04d}", image, mask)))
 
-    classes = [{"id": 0, "name": "background", "role": ROLE_BASE}]
-    for c in range(1, config.num_foreground + 1):
-        role = ROLE_NOVEL if c in novel else ROLE_BASE
-        classes.append({"id": c, "name": f"class{c}", "role": role})
+    classes = [
+        {"id": c, "name": class_name(c), "role": ROLE_NOVEL if c in novel else ROLE_BASE}
+        for c in range(config.num_foreground + 1)
+    ]
 
     manifest = DatasetManifest(
         classes=classes,

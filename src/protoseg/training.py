@@ -28,6 +28,7 @@ from .prototypes import (
     init_gamma_net,
     make_classifier,
     named_parameters,
+    row_table,
     unit_rows,
     update_rows,
 )
@@ -156,14 +157,6 @@ def build_updated_classifier(
     )
 
 
-def _label_lut(class_ids: tuple[int, ...]) -> np.ndarray:
-    lut = np.full(256, -1, dtype=np.int64)
-    for row, cid in enumerate(class_ids):
-        lut[cid] = row
-    lut[IGNORE_LABEL] = IGNORE_LABEL
-    return lut
-
-
 def _batch_ce(
     feats_flat: list[Tensor],
     labels: list[np.ndarray],
@@ -190,7 +183,8 @@ def dual_loss(
     the fake-query half) / 2. Means are over non-ignored pixels, pooled
     across the samples in each term. Without an updated classifier (a
     variant that does not rehearse) the loss is the first term alone."""
-    lut = _label_lut(class_ids)
+    lut = row_table(class_ids)
+    lut[IGNORE_LABEL] = IGNORE_LABEL  # ignore pixels stay ignore targets
     flat = [unit_rows(f) for f in feats]
     l_cls = _batch_ce(flat, masks, range(len(feats)), weights, lut)
     if updated is None:

@@ -89,7 +89,6 @@ def test_parameter_gradients_pass_finite_difference_check():
                         )
                         for i, (k, b) in enumerate(params.layers)
                     ],
-                    embed_dim=params.embed_dim,
                 )
                 out = extract_features(trial, Tensor(image))
                 return T.dot(T.reshape(out, (out.size,)), Tensor(fw))

@@ -12,7 +12,7 @@ from protoseg.cli import main
 from protoseg.errors import FormatError, IoError
 from protoseg.model import EvalModel
 from protoseg.netpbm import write_ppm
-from protoseg.prototypes import init_gamma_net, make_classifier, named_parameters
+from protoseg.prototypes import class_name, init_gamma_net, make_classifier, named_parameters
 from protoseg.tensor import Tensor
 
 
@@ -30,7 +30,6 @@ def _model(with_gamma=True, seed=0, role_of_5="novel"):
         variant_kind="capl" if with_gamma else "baseline",
         converged_gamma=0.7 if with_gamma else None,
         amp_gamma=0.5,
-        class_names={0: "background", 2: "thing", 5: "rare"},
         meta={"seed": 7, "steps": 11},
     )
 
@@ -49,7 +48,7 @@ def test_round_trip_is_lossless(tmp_path):
     assert np.array_equal(back.gammanet.w1.data, model.gammanet.w1.data)
     assert back.variant_kind == "capl"
     assert back.converged_gamma == 0.7
-    assert back.class_names[5] == "rare"
+    assert class_name(5).encode() in open(path, "rb").read()
     assert back.meta["seed"] == 7
 
 
@@ -125,9 +124,21 @@ def test_non_utf8_class_name_is_format_error(tmp_path):
     path = str(tmp_path / "m.ckpt")
     save_checkpoint(path, _model())
     body = bytearray(open(path, "rb").read()[:-4])
-    body[body.index(b"thing")] = 0xFF
+    body[body.index(b"class2")] = 0xFF
     open(path, "wb").write(_with_crc(bytes(body)))
     with pytest.raises(FormatError, match="UTF-8"):
+        load_checkpoint(path)
+
+
+def test_empty_tensor_with_an_oversized_shape_is_format_error(tmp_path):
+    # a zero dim leaves no payload, but numpy cannot hold the shape at all
+    path = str(tmp_path / "m.ckpt")
+    save_checkpoint(path, _model(), extra_tensors=[("opt.x", np.zeros((0, 1, 1)))])
+    body = bytearray(open(path, "rb").read()[:-4])
+    dims = body.index(b"opt.x") + len(b"opt.x") + 2
+    body[dims : dims + 12] = struct.pack("<3I", 0, 2**32 - 1, 2**32 - 1)
+    open(path, "wb").write(_with_crc(bytes(body)))
+    with pytest.raises(FormatError, match="bad shape"):
         load_checkpoint(path)
 
 
@@ -259,6 +270,21 @@ def test_train_state_that_cannot_resume_is_format_error(
     _save_with_train_state(path, saved, role_of_5, momentum)
     with pytest.raises(FormatError):
         load_train_state(path)
+
+
+@pytest.mark.parametrize("loader", [load_checkpoint, load_train_state])
+@pytest.mark.parametrize("cid", [255, 300])
+def test_class_id_that_no_8bit_mask_holds_is_format_error(tmp_path, loader, cid):
+    # 255 is the ignore label, and 300 does not fit in a mask at all
+    model = _model()
+    roles = {0: "base", 2: "base", cid: "base"}
+    model.classifier = make_classifier([0, 2, cid], model.classifier.weights, roles)
+    model.meta["train_state"] = _train_state_meta()
+    momentum = [(f"opt.{n}", np.zeros(t.shape)) for n, t in _named(model)]
+    path = str(tmp_path / "s.ckpt")
+    save_checkpoint(path, model, extra_tensors=momentum)
+    with pytest.raises(FormatError, match=f"class id {cid}"):
+        loader(path)
 
 
 def _replace_layer(i, kernel_shape, bias_shape=(6,)):

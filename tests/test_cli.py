@@ -119,6 +119,8 @@ def test_protocol_config_section_exits_2(workspace, tmp_path, command, capsys):
     cfg.write_text(json.dumps({**TRAIN_CFG, "protocol": {}}))
     out = tmp_path / "never"
     args = [command, "--config", str(cfg), "--data", workspace["manifest"], "--out", str(out)]
+    if command == "ablate":
+        args += ["--cache", str(tmp_path / "cache")]
     assert main(args) == 2
     assert "unknown config sections: ['protocol']" in capsys.readouterr().err
     assert not out.exists()
@@ -199,6 +201,11 @@ def test_interrupted_training_resumes_to_identical_state(workspace, tmp_path):
     assert main(["train", "--data", workspace["manifest"], "--resume", part,
                  "--out", full]) == 0
     assert sha(full) == sha(workspace["ckpt"])
+    # the snapshot carries no curve, so the resumed curve holds steps 6 on,
+    # each row (floats written by repr) the uninterrupted run's to the bit
+    header, *uninterrupted = open(workspace["ckpt"] + ".curve.csv").read().splitlines()
+    assert open(full + ".curve.csv").read().splitlines() == [header, *uninterrupted[6:]]
+    assert uninterrupted[6].startswith("6,")
 
 
 def test_resume_from_snapshot_without_a_bias_exits_3(workspace, tmp_path, monkeypatch):
@@ -492,7 +499,9 @@ def test_out_of_range_gamma_on_a_fixed_gamma_variant_exits_2(
     assert not os.path.exists(out)
 
 
-@pytest.mark.parametrize("snapshot", ["registered", "without_momentum"])
+@pytest.mark.parametrize(
+    "snapshot", ["registered", "without_momentum", "class_id_255", "class_id_300"]
+)
 def test_resume_from_a_snapshot_that_cannot_continue_exits_3(workspace, tmp_path, snapshot):
     from protoseg.checkpoint import load_train_state, save_train_state
 
@@ -505,12 +514,16 @@ def test_resume_from_a_snapshot_that_cannot_continue_exits_3(workspace, tmp_path
                      "--shots", "1", "--out", bad]) == 0
     else:
         state = load_train_state(part)
-        state.velocities.clear()
+        if snapshot == "without_momentum":
+            state.velocities.clear()
+        else:  # renumber the last base class out of the 8-bit class range
+            state.class_ids = state.class_ids[:-1] + (int(snapshot.rsplit("_", 1)[1]),)
         save_train_state(bad, state)
     out = str(tmp_path / "out.ckpt")
     code = main(["train", "--data", workspace["manifest"], "--resume", bad, "--out", out])
     assert code == 3
     assert not os.path.exists(out)
+    assert not os.path.exists(out + ".curve.csv")
 
 
 def test_train_out_of_memory_exits_2(workspace, tmp_path, monkeypatch, capsys):

@@ -72,7 +72,6 @@ def _small_model() -> EvalModel:
         gammanet=init_gamma_net(2, seed=1),
         variant_kind="capl",
         converged_gamma=0.6,
-        class_names={0: "background", 1: "thing", 4: "rare"},
         meta={"seed": 7},
     )
 

@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from protoseg import protocols
 from protoseg.errors import ConfigError, DataError, IoError
 from protoseg.model import from_train_state
 from protoseg.protocols import (
@@ -41,10 +42,7 @@ def world(tmp_path_factory):
     manifest = load_manifest(os.path.join(out, "manifest.json"))
     data = load_train_data(manifest)
     models = {
-        kind: from_train_state(
-            train(TRAIN, data, make_variant(kind)),
-            {int(c["id"]): c["name"] for c in manifest.classes},
-        )
+        kind: from_train_state(train(TRAIN, data, make_variant(kind)))
         for kind in ("baseline", "capl")
     }
     return manifest, models
@@ -378,13 +376,22 @@ def test_fs_protocol_scores_high_on_separable_world(separable_world):
     assert result["class_miou"] >= 0.8
 
 
-def test_ablation_full_grid_shape(world, tmp_path):
+def test_ablation_full_grid_shape(world, tmp_path, monkeypatch):
     manifest, _ = world
+    schemes = []
+
+    def counted_train(config, data, variant):
+        schemes.append(variant.scheme)
+        return train(config, data, variant)
+
+    monkeypatch.setattr(protocols, "train", counted_train)
     kinds = ("baseline", "capl_tr", "capl_te", "capl", "amp_gamma", "convg_gamma")
     rows = run_ablation(
         manifest, [1, 2, 3], kinds, seeds=(123,), config=TRAIN,
         cache_dir=str(tmp_path / "cache"),
     )
+    # six variants share three training schemes, each trained once
+    assert sorted(schemes) == ["baseline", "capl", "capl_tr"]
     assert len(rows) == 6 * 3  # six variants, three shot settings, one seed
     assert {(r["variant"], r["shots"]) for r in rows} == {
         (k, s) for k in kinds for s in (1, 2, 3)

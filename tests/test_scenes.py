@@ -196,7 +196,7 @@ def test_train_masks_contain_no_novel_pixels(built):
 
 def test_all_split_masks_use_registered_ids(built):
     _, manifest = built
-    legal = set(manifest.class_ids) | {IGNORE_LABEL}
+    legal = {c["id"] for c in manifest.classes} | {IGNORE_LABEL}
     for entry in manifest.train + manifest.support_pool + manifest.test:
         _, mask = load_pair(manifest, entry)
         assert set(np.unique(mask)) <= legal
@@ -223,7 +223,7 @@ def test_manifest_round_trip(built):
     out, manifest = built
     loaded = load_manifest(os.path.join(out, "manifest.json"))
     assert loaded.split_index == 0
-    assert loaded.class_ids == manifest.class_ids
+    assert loaded.classes == manifest.classes
     assert len(loaded.support_pool) == len(manifest.support_pool)
     assert loaded.support_pool[0].novel_id is not None
 

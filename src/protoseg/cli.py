@@ -106,6 +106,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
+    if args.resume and args.config:
+        raise ConfigError("--resume continues the snapshot's own config; drop --config")
     manifest = load_manifest(args.data)
     data = load_train_data(manifest)
     if args.resume:

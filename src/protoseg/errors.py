@@ -30,10 +30,6 @@ class RangeError(ConfigError):
     """Scalar argument outside its documented interval."""
 
 
-class UnsupportedOp(ConfigError):
-    """Unknown operation kind requested from the dispatcher."""
-
-
 class IoError(ProtosegError):
     """Filesystem failure while reading or writing artifacts."""
 

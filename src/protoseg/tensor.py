@@ -7,8 +7,8 @@ which computes at its input's precision, so a float32 image keeps the whole
 backbone in float32 while the float64 parameters stay float64. Forward
 results are recorded on the active tape whenever an input requires
 gradients; ``backward`` replays the records in exact reverse order, casts
-each gradient to the dtype of the tensor it flows into, and leaves
-dLoss/dLeaf on every leaf tensor.
+each gradient to the dtype of the tensor it flows into, and returns
+dLoss/dt for each tensor it is asked about.
 
 Reductions that feed the prototype math (``masked_sum``) gather the set
 pixels and accumulate them in row-major pixel order, so they match a
@@ -32,14 +32,13 @@ from .errors import (
     DegenerateBatchError,
     NumericalError,
     ShapeError,
-    UnsupportedOp,
 )
 
 IGNORE_LABEL = 255
 
 
 class Tensor:
-    """n-dimensional float32 or float64 array with an optional gradient slot.
+    """n-dimensional float32 or float64 array, optionally tracked by the tape.
 
     A float32 array is kept as it is; any other data is converted to float64.
 
@@ -47,7 +46,7 @@ class Tensor:
     the only writer and only between steps.
     """
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
@@ -57,7 +56,6 @@ class Tensor:
             arr = np.ascontiguousarray(arr)
         self.data = arr
         self.requires_grad = bool(requires_grad)
-        self.grad: np.ndarray | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -78,10 +76,9 @@ class Tensor:
 
 @dataclass
 class TapeRecord:
-    """One recorded op: kind, tensor inputs, output, and its pullback."""
+    """One recorded op: kind, output, and its pullback to the op's inputs."""
 
     kind: str
-    inputs: tuple[Tensor, ...]
     output: Tensor
     backward: Callable[[np.ndarray], list[tuple[Tensor, np.ndarray]]]
 
@@ -108,15 +105,15 @@ class Tape:
 
 
 def _record(kind, inputs, out, backward) -> Tensor:
-    tensor_inputs = tuple(t for t in inputs if isinstance(t, Tensor))
-    if _active_tape is not None and any(t.requires_grad for t in tensor_inputs):
+    if _active_tape is not None and any(t.requires_grad for t in inputs):
         out.requires_grad = True
-        _active_tape.records.append(TapeRecord(kind, tensor_inputs, out, backward))
+        _active_tape.records.append(TapeRecord(kind, out, backward))
     return out
 
 
-def backward(tape: Tape, loss: Tensor) -> None:
-    """Accumulate dLoss/dLeaf onto every leaf with requires_grad; clears the tape."""
+def backward(tape: Tape, loss: Tensor, wrt: Sequence[Tensor]) -> list[np.ndarray]:
+    """dLoss/dt for each tensor ``t`` of ``wrt``, zeros of ``t``'s dtype where
+    the loss does not reach it; clears the tape."""
     if loss.data.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
@@ -131,16 +128,8 @@ def backward(tape: Tape, loss: Tensor) -> None:
                 contribution = contribution.astype(tensor.data.dtype)
             held = grads.get(id(tensor))
             grads[id(tensor)] = contribution if held is None else held + contribution
-    produced = {id(rec.output) for rec in tape.records}
-    assigned: set[int] = set()
-    for rec in tape.records:
-        for tensor in rec.inputs:
-            key = id(tensor)
-            if tensor.requires_grad and key not in produced and key not in assigned:
-                assigned.add(key)
-                g = grads.get(key)
-                tensor.grad = np.zeros_like(tensor.data) if g is None else g.copy()
     tape.records.clear()
+    return [grads[id(t)] if id(t) in grads else np.zeros_like(t.data) for t in wrt]
 
 
 # ---------------------------------------------------------------------------
@@ -230,17 +219,6 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         return [(x, w.data @ g), (w, np.outer(x.data, g)), (b, g)]
 
     return _record("linear", (x, w, b), out, back)
-
-
-def dot(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 1 or a.shape != b.shape:
-        raise ShapeError(f"dot: {a.shape} vs {b.shape}")
-    out = Tensor(np.dot(a.data, b.data))
-
-    def back(g):
-        return [(a, g * b.data), (b, g * a.data)]
-
-    return _record("dot", (a, b), out, back)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -450,7 +428,6 @@ _OPS: dict[str, Callable] = {
     "relu": relu,
     "sigmoid": sigmoid,
     "linear": linear,
-    "dot": dot,
     "matmul": matmul,
     "reshape": reshape,
     "concat": concat,
@@ -463,70 +440,5 @@ _OPS: dict[str, Callable] = {
 }
 
 
-def op_forward(kind: str, *inputs, **kwargs) -> Tensor:
-    """Dispatch an op by kind name; unknown kinds raise UnsupportedOp."""
-    fn = _OPS.get(kind)
-    if fn is None:
-        raise UnsupportedOp(f"unknown op kind {kind!r}")
-    return fn(*inputs, **kwargs)
-
-
 def op_kinds() -> tuple[str, ...]:
     return tuple(sorted(_OPS))
-
-
-# ---------------------------------------------------------------------------
-# gradient checking
-# ---------------------------------------------------------------------------
-
-
-GRADCHECK_STEP = 1e-5
-GRADCHECK_TOL = 1e-4
-
-
-@dataclass
-class GradCheckReport:
-    max_rel_err: float
-    tol: float
-    passed: bool
-    n_checked: int
-
-    def __str__(self) -> str:
-        status = "pass" if self.passed else "FAIL"
-        return f"{status} max_rel_err={self.max_rel_err:.3e} tol={self.tol:.1e} n={self.n_checked}"
-
-
-def gradient_check(f: Callable[[Tensor], Tensor], x: Tensor) -> GradCheckReport:
-    """Compare analytic gradients of a scalar function against central differences
-    of half-width ``GRADCHECK_STEP``; the check passes at ``GRADCHECK_TOL``.
-
-    Relative error uses max(|analytic|, |numeric|, 1.0) as the denominator so
-    near-zero gradients are judged on absolute error at unit scale.
-    """
-    probe = Tensor(x.data.copy(), requires_grad=True)
-    with Tape() as tape:
-        y = f(probe)
-    if y.data.size != 1:
-        raise ShapeError("gradient_check needs a scalar-valued function")
-    if not np.isfinite(y.data).all():
-        raise NumericalError("f(x) is not finite")
-    backward(tape, y)
-    analytic = probe.grad if probe.grad is not None else np.zeros_like(x.data)
-
-    numeric = np.zeros_like(x.data)
-    flat = x.data.reshape(-1)
-    num_flat = numeric.reshape(-1)
-    for i in range(flat.size):
-        bumped = flat.copy()
-        bumped[i] = flat[i] + GRADCHECK_STEP
-        f_plus = f(Tensor(bumped.reshape(x.shape))).data
-        bumped[i] = flat[i] - GRADCHECK_STEP
-        f_minus = f(Tensor(bumped.reshape(x.shape))).data
-        if not (np.isfinite(f_plus).all() and np.isfinite(f_minus).all()):
-            raise NumericalError("f is not finite near x")
-        num_flat[i] = (float(f_plus.reshape(())) - float(f_minus.reshape(()))) / (2.0 * GRADCHECK_STEP)
-
-    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1.0)
-    rel = np.abs(analytic - numeric) / denom
-    max_rel = float(rel.max()) if rel.size else 0.0
-    return GradCheckReport(max_rel, GRADCHECK_TOL, max_rel <= GRADCHECK_TOL, int(flat.size))

@@ -213,9 +213,7 @@ def load_train_data(manifest: DatasetManifest) -> TrainData:
         image, mask = load_pair(manifest, entry)
         images.append(image)
         masks.append(mask)
-    data = TrainData(images, masks, manifest.ids_with_role(ROLE_BASE))
-    _validate_train_masks(data)
-    return data
+    return TrainData(images, masks, manifest.ids_with_role(ROLE_BASE))
 
 
 def _validate_train_masks(data: TrainData) -> None:
@@ -310,14 +308,13 @@ def train_step(state: TrainState, batch: TrainBatch, rng: np.random.Generator) -
         )
     if not np.isfinite(loss.data).all():
         raise NumericalError(f"non-finite loss at step {state.step}")
-    backward(tape, loss)
+    params = state.parameters()
+    grads = backward(tape, loss, [p for _, p in params])
 
     lr_t = cfg.lr * (1.0 - state.step / max(1, cfg.steps)) ** POLY_POWER
-    params = state.parameters()
-    total = np.sqrt(sum(float(np.sum(p.grad * p.grad)) for _, p in params if p.grad is not None))
+    total = np.sqrt(sum(float(np.sum(g * g)) for g in grads))
     clip_scale = CLIP_GRAD_NORM / total if total > CLIP_GRAD_NORM else 1.0
-    for name, param in params:
-        grad = param.grad if param.grad is not None else np.zeros_like(param.data)
+    for (name, param), grad in zip(params, grads):
         if clip_scale != 1.0:
             grad = grad * clip_scale
         grad = grad + WEIGHT_DECAY * param.data
@@ -325,7 +322,6 @@ def train_step(state: TrainState, batch: TrainBatch, rng: np.random.Generator) -
         vel = grad if vel is None else MOMENTUM * vel + grad
         state.velocities[name] = vel
         param.data = param.data - lr_t * vel
-        param.grad = None
 
     state.step += 1
     mean_gamma = float(np.mean(gammas)) if gammas else None

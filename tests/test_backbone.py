@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-import protoseg.tensor as T
 from protoseg.backbone import BackboneParams, extract_features, init_backbone
 from protoseg.errors import ConfigError, ShapeError
-from protoseg.tensor import Tensor, gradient_check
+from protoseg.gradcheck import _scalarize, gradient_check
+from protoseg.tensor import Tensor
 
 
 def test_zero_weights_zero_image_give_zero_features():
@@ -91,7 +91,7 @@ def test_parameter_gradients_pass_finite_difference_check():
                     ],
                 )
                 out = extract_features(trial, Tensor(image))
-                return T.dot(T.reshape(out, (out.size,)), Tensor(fw))
+                return _scalarize(out, fw)
 
             report = gradient_check(f, probe_init)
             assert report.passed, f"layer {li} param {pi}: {report}"

@@ -12,6 +12,7 @@ import sys
 
 from protoseg.cli import build_parser
 from protoseg.scenes import SceneConfig
+from protoseg.tensor import Tensor
 from protoseg.training import TrainConfig
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -55,6 +56,18 @@ def test_one_label_table_builder():
         and len(node.args) > 1 and ast.unparse(node.args[1]) == "-1"
     ]
     assert len(builders) == 1
+
+
+def test_gradients_come_back_from_backward_not_from_a_tensor_slot():
+    # backward(tape, loss, wrt) returns dLoss/dt; no tensor carries a gradient
+    readers = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr == "grad"
+    ]
+    assert readers == []
+    assert Tensor.__slots__ == ("data", "requires_grad")
 
 
 def test_one_json_file_reader():

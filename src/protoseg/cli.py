@@ -108,6 +108,8 @@ def cmd_synth(args) -> int:
 def cmd_train(args) -> int:
     if args.resume and args.config:
         raise ConfigError("--resume continues the snapshot's own config; drop --config")
+    if args.stop_after is not None and args.stop_after < 0:
+        raise ConfigError(f"--stop-after needs an integer >= 0, got {args.stop_after}")
     manifest = load_manifest(args.data)
     data = load_train_data(manifest)
     if args.resume:

@@ -20,7 +20,7 @@ import numpy as np
 from . import tensor as T
 from .backbone import extract_features, init_backbone
 from .errors import ConfigError, NumericalError, ShapeError
-from .prototypes import init_gamma_net, named_parameters, parameters_from_named
+from .prototypes import DEFAULT_ALPHA, init_gamma_net, named_parameters, parameters_from_named
 from .tensor import Tape, Tensor, backward
 from .training import FakeSplit, build_updated_classifier, dual_loss
 
@@ -121,10 +121,12 @@ def _op_probes(rng):
     mask = (rng.random((4, 3)) < 0.5).astype(float)
     mask[0, 0] = 1.0
     labels = rng.integers(0, 3, 8)
+    labels[5] = T.IGNORE_LABEL
 
     def ce_build():
-        x0 = Tensor(rng.uniform(-2, 2, (8, 3)))
-        return (lambda t: T.softmax_cross_entropy(t, labels)), x0
+        # x0 is both a map and the weights, so one check covers both pullbacks
+        x0, other = Tensor(rng.uniform(-2, 2, (4, 3))), Tensor(rng.uniform(-2, 2, (2, 2, 3)))
+        return (lambda t: T.softmax_cross_entropy([t, other], t, labels, DEFAULT_ALPHA)), x0
 
     def concat_build():
         x0 = Tensor(rng.uniform(-2, 2, (2, 3)))
@@ -146,7 +148,6 @@ def _op_probes(rng):
         "relu": via("relu", x_shape=(6,), margin=1e-3),
         "sigmoid": via("sigmoid", x_shape=(6,)),
         "linear": via("linear", (4, 3), (3,), x_shape=(4,)),
-        "matmul": via("matmul", (2, 4), x_shape=(3, 4)),
         "reshape": via("reshape", x_shape=(6,), shape=(2, 3)),
         "concat": concat_build,
         "stack": stack_build,

@@ -1,9 +1,9 @@
 """Prototype math: pooling, the cosine classifier, context fusion, registration.
 
 A classifier is an ordered list of class prototypes. One head scores every
-pixel against them, ``cosine_logits``: the cosine similarity scaled by
-``DEFAULT_ALPHA``, taped, so training's loss and inference's ``classify``
-share it. Novel classes are installed by mask-average pooling over
+pixel against them: the cosine similarity scaled by ``DEFAULT_ALPHA``, whose
+logits half ``tensor.cosine_logits`` both training's cross entropy and
+inference's ``classify`` call. Novel classes are installed by mask-average pooling over
 their support shots; base classes present in those supports can additionally
 be enriched by fusing their trained row with a pooled feature prototype,
 weighted by a small learned gate network or a fixed gamma. Both go through
@@ -329,13 +329,6 @@ def register_novel_classes(
     return make_classifier(ids + declared, np.vstack([rows.data, *novel_rows]), roles)
 
 
-def cosine_logits(rows: Tensor, unit_weights: Tensor) -> Tensor:
-    """The one cosine head: unit feature rows (n, c) against unit prototype
-    rows (k, c), as (n, k) logits scaled by ``DEFAULT_ALPHA``. Taped, so the
-    training loss differentiates through it."""
-    return T.scale(T.matmul(rows, unit_weights), DEFAULT_ALPHA)
-
-
 def unit_rows(features: Tensor) -> Tensor:
     """``classify``'s per-image half: an (h, w, c) map as (h*w, c) unit rows."""
     h, w, c = features.shape
@@ -344,16 +337,20 @@ def unit_rows(features: Tensor) -> Tensor:
 
 def scorer(classifier: Classifier):
     """``classify``'s per-classifier half: normalizes the prototype rows once
-    and returns the function from unit rows (n, c) to (labels, logits)."""
-    unit = T.l2_normalize(Tensor(classifier.weights))
+    and returns the function from unit rows (n, c) to (labels, logits (k, n))."""
+    unit = T.l2_normalize(Tensor(classifier.weights)).data
     ids = np.asarray(classifier.class_ids)
+    ranks = np.arange(len(ids), 0, -1, dtype=np.uint8)[:, None]  # highest for row 0
 
     def score(rows: Tensor) -> tuple[np.ndarray, np.ndarray]:
-        logits = cosine_logits(rows, unit).data
+        logits = T.cosine_logits(unit, rows.data, DEFAULT_ALPHA)
         # bounded by alpha, but float32 unit rows can exceed norm 1 by rounding;
         # only inference clips, as a clipped training logit has no gradient
         np.clip(logits, -DEFAULT_ALPHA, DEFAULT_ALPHA, out=logits)
-        return ids[np.argmax(logits, axis=-1)], logits
+        # argmax down the class axis without its transposed copy: the top rank
+        # at the maximum is the lowest row; a NaN column matches none, row 0
+        first = ((logits == logits.max(axis=0)) * ranks).max(axis=0)
+        return ids[(len(ids) - first) % len(ids)], logits
 
     return score
 
@@ -361,9 +358,9 @@ def scorer(classifier: Classifier):
 def classify(classifier: Classifier, features: Tensor) -> tuple[np.ndarray, np.ndarray]:
     """Predict per-pixel class ids; ties break toward the lowest class id.
 
-    Returns (label mask, logits). Argmax of the scaled cosine scores equals
-    argmax of the softmax in the output rule, so no softmax is materialized.
+    Returns (label mask, logits (h, w, k)). Argmax of the scaled cosine
+    scores equals argmax of the softmax, so no softmax is materialized.
     """
     h, w, _ = features.shape
     labels, logits = scorer(classifier)(unit_rows(features))
-    return labels.reshape(h, w), logits.reshape(h, w, classifier.num_classes)
+    return labels.reshape(h, w), logits.reshape(-1, h, w).transpose(1, 2, 0)

@@ -12,10 +12,10 @@ dLoss/dt for each tensor it is asked about.
 
 Reductions that feed the prototype math (``masked_sum``) gather the set
 pixels and accumulate them in row-major pixel order, so they match a
-per-pixel loop bitwise; the remaining ops use ordinary numpy kernels, which
-are deterministic but make no ordering promise beyond that. Pullbacks only
-compute the gradients the loss can reach: conv2d skips ``dx`` for an input
-that needs no gradient, such as the image.
+per-pixel loop bitwise; other ops use ordinary numpy kernels, deterministic
+but with no ordering promise beyond that. The cosine cross entropy is one
+class-major op; conv2d keeps its input, not its im2col columns, and skips
+``dx`` for an input that needs no gradient, such as the image.
 """
 
 from __future__ import annotations
@@ -221,18 +221,6 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _record("linear", (x, w, b), out, back)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """``a @ b.T`` for 2-d operands: rows of ``a`` against rows of ``b``."""
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[1]:
-        raise ShapeError(f"matmul: {a.shape} vs {b.shape}.T")
-    out = Tensor(a.data @ b.data.T)
-
-    def back(g):
-        return [(a, g @ b.data), (b, g.T @ a.data)]
-
-    return _record("matmul", (a, b), out, back)
-
-
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     shape = tuple(int(s) for s in shape)
     if math.prod(shape) != a.data.size:
@@ -291,24 +279,31 @@ def take_row(a: Tensor, index: int) -> Tensor:
     return _record("take_row", (a,), out, back)
 
 
+def _pad(a: np.ndarray, p: int) -> np.ndarray:
+    """An (h, w, c) array with ``p`` zero rows and columns on every side."""
+    h, w, c = a.shape
+    padded = np.zeros((h + 2 * p, w + 2 * p, c), a.dtype)
+    padded[p : p + h, p : p + w] = a
+    return padded
+
+
 def _im2col(a: np.ndarray, k: int) -> np.ndarray:
     """Zero-padded k x k patches of an (h, w, c) array as an (h*w, k*k*c) matrix."""
     h, w, c = a.shape
     p = k // 2
-    padded = np.zeros((h + 2 * p, w + 2 * p, c), a.dtype)
-    padded[p : p + h, p : p + w] = a
     # a patch is k runs of k*c values, each contiguous in a padded row
-    runs = sliding_window_view(padded.reshape(h + 2 * p, -1), (k, k * c))[:, ::c]
+    runs = sliding_window_view(_pad(a, p).reshape(h + 2 * p, -1), (k, k * c))[:, ::c]
     return runs.reshape(h * w, k * k * c)
 
 
 def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     """Stride-1, zero-padded 2-d convolution: x (h, w, cin) -> (h, w, cout).
 
-    Kernel is (k, k, cin, cout) with odd k. Implemented as an im2col matrix
-    product at ``x``'s dtype; ``dx`` is the transposed convolution, the same
-    im2col of the output gradient times the spatially flipped kernel with cin
-    and cout swapped. Direct-loop oracles in the test suite pin the
+    Kernel is (k, k, cin, cout) with odd k. An im2col matrix product at
+    ``x``'s dtype; the pullback keeps ``x``, not the k*k times larger columns.
+    ``dk`` is k*k matrix products over shifted runs of the padded input's
+    rows, ``dx`` the im2col of the output gradient times the flipped kernel
+    with cin and cout swapped. Direct-loop oracles in the test suite pin the
     arithmetic: exactly for float64, at float32 tolerance for float32.
     """
     if x.data.ndim != 3 or kernel.data.ndim != 4 or bias.data.ndim != 1:
@@ -324,15 +319,21 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     # kernel and bias are cast to the input's dtype once per call; the ``dx``
     # pullback reuses the cast kernel
     kern = kernel.data.astype(x.data.dtype, copy=False)
-    cols = _im2col(x.data, kh)
-    out = cols @ kern.reshape(kh * kw * cin, cout) + bias.data.astype(kern.dtype, copy=False)
+    out = _im2col(x.data, kh) @ kern.reshape(kh * kw * cin, cout)
+    out += bias.data.astype(kern.dtype, copy=False)
     out = Tensor(out.reshape(h, w, cout))
-    need_dx = x.requires_grad
 
     def back(g):
-        g2d = g.reshape(h * w, cout)
-        grads = [(kernel, (cols.T @ g2d).reshape(kernel.shape)), (bias, np.einsum("ij->j", g2d))]
-        if need_dx:
+        p, wp = kh // 2, w + kh - 1
+        rows = _pad(x.data, p).reshape(-1, cin)
+        # g at the padded row width, less the last row's pad columns: for
+        # kernel tap (i, j), output row r pairs with input row r + i*wp + j
+        gp = np.zeros((h, wp, cout), g.dtype)
+        gp[:, :w] = g
+        gp = gp.reshape(-1, cout)[: h * wp - 2 * p]
+        dk = np.stack([rows[i * wp + j :][: len(gp)].T @ gp for i in range(kh) for j in range(kw)])
+        grads = [(kernel, dk.reshape(kernel.shape)), (bias, np.einsum("ij->j", gp))]
+        if x.requires_grad:
             flipped = kern[::-1, ::-1].transpose(0, 1, 3, 2).reshape(kh * kw * cout, cin)
             grads.append((x, (_im2col(g, kh) @ flipped).reshape(h, w, cin)))
         return grads
@@ -366,58 +367,96 @@ def masked_sum(features: Tensor, mask: np.ndarray) -> Tensor:
     return _record("masked_sum", (features,), out, back)
 
 
+def _unit(a: np.ndarray):
+    """Rows of ``a`` (its last axis) at unit length, a row of norm <= 1e-8
+    mapping to zeros, and the pullback from their gradient to ``a``'s."""
+    norms = np.sqrt(np.einsum("...i,...i->...", a, a))[..., None]
+    inv = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 1e-8)
+    unit = a * inv
+
+    def back(g):
+        da = g - unit * np.einsum("...i,...i->...", unit, g)[..., None]
+        da *= inv
+        return da
+
+    return unit, back
+
+
 def l2_normalize(a: Tensor) -> Tensor:
     """Normalize the last axis to unit length; norms <= 1e-8 map to zero vectors."""
-    norms = np.sqrt(np.sum(a.data * a.data, axis=-1, keepdims=True))
-    safe = np.where(norms > 1e-8, norms, 1.0)
-    y = np.where(norms > 1e-8, a.data / safe, 0.0)
+    y, unit_back = _unit(a.data)
     out = Tensor(y)
 
     def back(g):
-        dots = np.sum(y * g, axis=-1, keepdims=True)
-        da = np.where(norms > 1e-8, (g - y * dots) / safe, 0.0)
-        return [(a, da)]
+        return [(a, unit_back(g))]
 
     return _record("l2_normalize", (a,), out, back)
 
 
-def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
-    """Per-pixel softmax cross entropy against integer labels.
+def cosine_logits(unit_weights: np.ndarray, unit_rows: np.ndarray, alpha: float) -> np.ndarray:
+    """The cosine head's logits half: unit prototype rows (k, c) against unit
+    feature rows (n, c), cast to float64 here, as (k, n) logits times ``alpha``."""
+    if unit_weights.shape[1] != unit_rows.shape[1]:
+        raise ShapeError(f"cosine logits: weights {unit_weights.shape} vs rows {unit_rows.shape}")
+    return (alpha * unit_weights) @ unit_rows.astype(np.float64, copy=False).T
 
-    ``logits`` is (..., n_classes); labels the matching integer array with
-    ``IGNORE_LABEL`` marking pixels excluded from the loss. The result is the
-    mean over non-ignored pixels.
-    """
-    n_classes = logits.shape[-1]
-    z = logits.data.reshape(-1, n_classes)
+
+def _cross_entropy(logits: np.ndarray, labels: np.ndarray):
+    """Mean softmax cross entropy of class-major logits (k, n) against a row
+    index per pixel, and its pullback; ``IGNORE_LABEL`` pixels weigh zero."""
+    k, n = logits.shape
     y = np.asarray(labels).reshape(-1)
-    if y.shape[0] != z.shape[0]:
-        raise ShapeError(f"labels {np.asarray(labels).shape} vs logits {logits.shape}")
-    valid = y != IGNORE_LABEL
-    count = int(valid.sum())
+    if y.shape != (n,):
+        raise ShapeError(f"labels {np.asarray(labels).shape} vs {n} scored pixels")
+    keep = y != IGNORE_LABEL
+    count = int(np.count_nonzero(keep))
     if count == 0:
         raise DegenerateBatchError("every pixel is ignored")
-    zv = z[valid]
-    yv = y[valid].astype(np.int64)
-    if yv.min() < 0 or yv.max() >= n_classes:
+    target = np.where(keep, y, 0)
+    if target.min() < 0 or target.max() >= k:
         raise ShapeError("label id outside the logit class range")
-    zmax = zv.max(axis=1, keepdims=True)
-    ez = np.exp(zv - zmax)
-    ez_sum = ez.sum(axis=1, keepdims=True)
-    lse = (np.log(ez_sum) + zmax)[:, 0]
-    nll = lse - zv[np.arange(count), yv]
-    total = nll.sum()
-    out = Tensor(total / count)
+    picked = target * n + np.arange(n)  # each pixel's target logit, flat
+    top = logits.max(axis=0)
+    ez = np.exp(logits - top)
+    ez_sum = ez.sum(axis=0)
+    nll = (np.log(ez_sum) + top - logits.reshape(-1)[picked]) * keep
 
     def back(g):
-        gs = float(g) / count
-        probs = ez / ez_sum
-        probs[np.arange(count), yv] -= 1.0
-        dz = np.zeros_like(z)
-        dz[valid] = probs * gs
-        return [(logits, dz.reshape(logits.shape))]
+        dz = ez / ez_sum
+        dz.reshape(-1)[picked] -= 1.0
+        dz *= keep * (float(g) / count)
+        return dz
 
-    return _record("softmax_cross_entropy", (logits,), out, back)
+    return nll.sum() / count, back
+
+
+def softmax_cross_entropy(maps: Sequence[Tensor], weights: Tensor, labels, alpha: float) -> Tensor:
+    """The cosine head's mean cross entropy over the pixels of ``maps``.
+
+    Each (..., c) map's unit rows, as ``l2_normalize`` makes them, are cast to
+    float64 once and scored class-major by ``cosine_logits`` against the unit
+    rows of ``weights`` (k, c); ``labels`` holds each pixel's row, maps in
+    order, or ``IGNORE_LABEL``. The pullback is written out by hand.
+    """
+    parts = list(maps)
+    if not parts or weights.data.ndim != 2 or any(m.shape[-1] != weights.shape[1] for m in parts):
+        raise ShapeError(f"cross entropy: maps {[m.shape for m in parts]}, weights {weights.shape}")
+    c = weights.shape[1]
+    units, unit_backs = zip(*(_unit(m.data.reshape(-1, c)) for m in parts))
+    rows = np.concatenate(units, dtype=np.float64)
+    unit_w, w_back = _unit(weights.data)
+    loss, logits_back = _cross_entropy(cosine_logits(unit_w, rows, alpha), labels)
+
+    def back(g):
+        dz = logits_back(g)
+        grads = [(weights, w_back(alpha * (dz @ rows)))]
+        # each map's pullback runs at the map's dtype, as l2_normalize's does
+        d_rows = np.split(dz.T @ (alpha * unit_w), np.cumsum([m.size // c for m in parts[:-1]]))
+        for m, unit_back, d_unit in zip(parts, unit_backs, d_rows):
+            grads.append((m, unit_back(d_unit.astype(m.data.dtype)).reshape(m.shape)))
+        return grads
+
+    return _record("softmax_cross_entropy", (*parts, weights), Tensor(loss), back)
 
 
 _OPS: dict[str, Callable] = {
@@ -428,7 +467,6 @@ _OPS: dict[str, Callable] = {
     "relu": relu,
     "sigmoid": sigmoid,
     "linear": linear,
-    "matmul": matmul,
     "reshape": reshape,
     "concat": concat,
     "stack": stack,

@@ -13,6 +13,7 @@ enrichment on or off to reproduce the ablation grid.
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,14 +23,13 @@ from .backbone import BackboneParams, extract_features, init_backbone
 from .errors import ConfigError, DataError, NumericalError, check_field_types
 from .netpbm import write_csv
 from .prototypes import (
+    DEFAULT_ALPHA,
     ROLE_BASE,
     GammaNet,
-    cosine_logits,
     init_gamma_net,
     make_classifier,
     named_parameters,
     row_table,
-    unit_rows,
     update_rows,
 )
 from .scenes import DatasetManifest, load_pair
@@ -41,6 +41,21 @@ MOMENTUM = 0.9
 POLY_POWER = 0.9
 WEIGHT_DECAY = 1e-3
 CLIP_GRAD_NORM = 1.0
+
+
+def _keep_freed_heap() -> None:
+    """Let each train step reuse the ~35 MB the last one freed, not fault it in
+    afresh. A trim threshold alone would pin glibc's mmap threshold at 128 KiB."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: blocks under 32 MiB come from the heap
+    mallopt(-1, 1 << 30)  # M_TRIM_THRESHOLD: up to 1 GiB of free heap top is kept
+
+
+_keep_freed_heap()
 
 
 @dataclass(frozen=True)
@@ -157,18 +172,11 @@ def build_updated_classifier(
     )
 
 
-def _batch_ce(
-    feats_flat: list[Tensor],
-    labels: list[np.ndarray],
-    positions,
-    weights: Tensor,
-    lut: np.ndarray,
-) -> Tensor:
-    stacked = T.concat([feats_flat[i] for i in positions])
-    target = np.concatenate([lut[labels[i].reshape(-1)] for i in positions])
+def _batch_ce(feats, masks, positions, weights: Tensor, lut: np.ndarray) -> Tensor:
+    target = np.concatenate([lut[masks[i].reshape(-1)] for i in positions])
     if (target == -1).any():
         raise DataError("label id not covered by the classifier")
-    return T.softmax_cross_entropy(cosine_logits(stacked, T.l2_normalize(weights)), target)
+    return T.softmax_cross_entropy([feats[i] for i in positions], weights, target, DEFAULT_ALPHA)
 
 
 def dual_loss(
@@ -181,15 +189,15 @@ def dual_loss(
 ) -> tuple[Tensor, dict]:
     """(CE of original weights over all samples + CE of updated weights over
     the fake-query half) / 2. Means are over non-ignored pixels, pooled
-    across the samples in each term. Without an updated classifier (a
-    variant that does not rehearse) the loss is the first term alone."""
+    across the samples in each term, and the second term scores the
+    fake-query maps only. Without an updated classifier (a variant that does
+    not rehearse) the loss is the first term alone."""
     lut = row_table(class_ids)
     lut[IGNORE_LABEL] = IGNORE_LABEL  # ignore pixels stay ignore targets
-    flat = [unit_rows(f) for f in feats]
-    l_cls = _batch_ce(flat, masks, range(len(feats)), weights, lut)
+    l_cls = _batch_ce(feats, masks, range(len(feats)), weights, lut)
     if updated is None:
         return l_cls, {"l_cls": float(l_cls.data), "l_update": float(l_cls.data)}
-    l_update = _batch_ce(flat, masks, query_positions, updated, lut)
+    l_update = _batch_ce(feats, masks, query_positions, updated, lut)
     loss = T.scale(T.add(l_cls, l_update), 0.5)
     info = {"l_cls": float(l_cls.data), "l_update": float(l_update.data)}
     return loss, info

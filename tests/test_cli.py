@@ -5,6 +5,8 @@ import inspect
 import json
 import os
 import struct
+import subprocess
+import sys
 import zlib
 from dataclasses import replace
 
@@ -206,6 +208,22 @@ def test_interrupted_training_resumes_to_identical_state(workspace, tmp_path):
     header, *uninterrupted = open(workspace["ckpt"] + ".curve.csv").read().splitlines()
     assert open(full + ".curve.csv").read().splitlines() == [header, *uninterrupted[6:]]
     assert uninterrupted[6].startswith("6,")
+
+
+@pytest.mark.parametrize("files", ["present", "absent"])
+def test_negative_stop_after_exits_2_before_any_file_is_read(workspace, tmp_path, capsys, monkeypatch, files):
+    def no_read(*args):
+        raise AssertionError("the manifest was read")
+
+    if files == "present":
+        monkeypatch.setattr("protoseg.cli.load_manifest", no_read)
+    out = str(tmp_path / "out.ckpt")
+    data, cfg = workspace["manifest"], workspace["train_cfg"]
+    if files == "absent":
+        data, cfg = str(tmp_path / "absent.json"), str(tmp_path / "absent.json")
+    code = main(["train", "--config", cfg, "--data", data, "--out", out, "--stop-after", "-3"])
+    assert code == 2 and "--stop-after" in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 @pytest.mark.parametrize("files", ["present", "absent"])
@@ -651,3 +669,43 @@ def test_malformed_manifest_entry_exits_2(workspace, tmp_path, where, value):
     assert main(["eval", "--model", workspace["ckpt"], "--data", str(bad),
                  "--report", str(out)]) == 2
     assert not out.exists()
+
+
+THREAD_RERUN = """
+import sys
+from protoseg.cli import main
+
+manifest, train_cfg, image, out = sys.argv[1:]
+ckpt, reg = f"{out}/m.ckpt", f"{out}/reg.ckpt"
+assert main(["train", "--config", train_cfg, "--data", manifest, "--variant", "capl", "--out", ckpt]) == 0
+assert main(["register", "--model", ckpt, "--data", manifest, "--shots", "2", "--out", reg]) == 0
+assert main(["predict", "--model", reg, "--image", image, "--out", f"{out}/pred.pgm",
+             "--logits", f"{out}/logits.bin"]) == 0
+"""
+
+
+def test_train_register_predict_are_byte_identical_at_one_and_two_blas_threads(tmp_path):
+    # the acceptance shapes (64x64 maps, batch 8, 16 channels) are large
+    # enough for OpenBLAS to split its GEMMs across the second thread
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps({"scene": {"train_scenes": 16, "support_per_class": 3,
+                                           "test_scenes": 2, "seed": 3}}))
+    train = tmp_path / "train.json"
+    train.write_text(json.dumps({"train": {**TRAIN_CFG["train"], "batch_size": 8, "steps": 6,
+                                           "embed_dim": 16, "backbone_layers": 3}}))
+    assert main(["synth", "--config", str(scene), "--out", str(tmp_path / "data")]) == 0
+    split = tmp_path / "data" / "split0"
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(inspect.getfile(main)))}
+    digests = {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        out.mkdir()
+        run = subprocess.run(
+            [sys.executable, "-c", THREAD_RERUN, str(split / "manifest.json"), str(train),
+             str(split / "test_0000.ppm"), str(out)],
+            env={**env, "OPENBLAS_NUM_THREADS": threads}, capture_output=True, text=True, timeout=300,
+        )
+        assert run.returncode == 0, run.stderr
+        digests[threads] = {p.name: sha(p) for p in sorted(out.iterdir())}
+    assert len(digests["1"]) == 5
+    assert digests["1"] == digests["2"]

@@ -1,5 +1,10 @@
 """Training scheme: batch partition, fake splits, updated classifier, dual loss, SGD."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -218,7 +223,8 @@ def test_dual_loss_all_ignored_raises():
 
 def test_training_loss_and_classify_score_pixels_alike():
     # one cosine head: the unclipped training logits and classify's clipped
-    # ones give bitwise the same cross entropy on float32 backbone maps
+    # ones, both from the logits half T.cosine_logits, give bitwise the same
+    # cross entropy on float32 backbone maps
     rng = np.random.default_rng(11)
     class_ids = (0, 2, 3, 5, 8)
     weights = Tensor(rng.uniform(-1, 1, (len(class_ids), 8)), requires_grad=True)
@@ -229,11 +235,86 @@ def test_training_loss_and_classify_score_pixels_alike():
     l_cls, _ = dual_loss(weights, None, feats, masks, (2, 3), class_ids)
 
     clf = make_classifier(class_ids, weights.data, {c: "base" for c in class_ids})
-    logits = np.concatenate([classify(clf, f)[1].reshape(-1, len(class_ids)) for f in feats])
+    # classify's (h, w, k) logits, laid out class-major (k, pixels)
+    logits = np.concatenate([classify(clf, f)[1].reshape(-1, len(class_ids)).T for f in feats], axis=1)
     rows = {c: i for i, c in enumerate(class_ids)} | {T.IGNORE_LABEL: T.IGNORE_LABEL}
     target = np.array([rows[int(v)] for m in masks for v in m.reshape(-1)])
     assert feats[0].data.dtype == np.float32
-    assert T.softmax_cross_entropy(Tensor(logits), target).data.tobytes() == l_cls.data.tobytes()
+    loss, _ = T._cross_entropy(logits, target)
+    assert np.asarray(loss).tobytes() == l_cls.data.tobytes()
+
+
+# the row-major head that the fused cross entropy replaced, kept as its oracle:
+# l2_normalize -> concat -> matmul -> scale -> softmax_cross_entropy over the
+# gathered non-ignored rows
+
+
+def _oracle_matmul(a: Tensor, b: Tensor) -> Tensor:
+    out = Tensor(a.data @ b.data.T)
+    return T._record("matmul", (a, b), out, lambda g: [(a, g @ b.data), (b, g.T @ a.data)])
+
+
+def _oracle_row_major_ce(logits: Tensor, labels: np.ndarray) -> Tensor:
+    z, valid = logits.data, labels != T.IGNORE_LABEL
+    count = int(valid.sum())
+    zv, yv = z[valid], labels[valid]
+    zmax = zv.max(axis=1, keepdims=True)
+    ez = np.exp(zv - zmax)
+    ez_sum = ez.sum(axis=1, keepdims=True)
+    nll = (np.log(ez_sum) + zmax)[:, 0] - zv[np.arange(count), yv]
+
+    def back(g):
+        probs = ez / ez_sum
+        probs[np.arange(count), yv] -= 1.0
+        dz = np.zeros_like(z)
+        dz[valid] = probs * (float(g) / count)
+        return [(logits, dz)]
+
+    return T._record("softmax_cross_entropy", (logits,), Tensor(nll.sum() / count), back)
+
+
+def _oracle_ce(maps, weights: Tensor, labels: np.ndarray) -> Tensor:
+    c = weights.shape[1]
+    rows = T.concat([T.reshape(T.l2_normalize(m), (m.size // c, c)) for m in maps])
+    logits = T.scale(_oracle_matmul(rows, T.l2_normalize(weights)), 10.0)
+    return _oracle_row_major_ce(logits, labels)
+
+
+def _oracle_dual_loss(weights, updated, maps, masks, query) -> Tensor:
+    def term(positions, w):
+        return _oracle_ce([maps[i] for i in positions], w, np.concatenate([masks[i].reshape(-1) for i in positions]))
+
+    return T.scale(T.add(term(range(len(maps)), weights), term(query, updated)), 0.5)
+
+
+@pytest.mark.parametrize("query", [(0, 1, 2, 3), (1, 3)])
+def test_fused_cross_entropy_equals_the_row_major_composition(query):
+    # float64 maps with ignored pixels and a zero pixel; the update term
+    # scores the query maps only, through a classifier taped from the weights
+    rng = np.random.default_rng(31)
+    k, c = 5, 6
+    maps0 = [rng.uniform(-1, 1, (4, 3, c)) for _ in range(4)]
+    maps0[1][0, 0] = 0.0
+    weights0 = rng.uniform(-1, 1, (k, c))
+    shift = Tensor(rng.uniform(-0.3, 0.3, (k, c)))
+    masks = [rng.integers(0, k, (4, 3)) for _ in range(4)]
+    for m in masks:
+        m[rng.random((4, 3)) < 0.25] = T.IGNORE_LABEL
+    results = []
+    for fused in (True, False):
+        maps = [Tensor(m, requires_grad=True) for m in maps0]
+        weights = Tensor(weights0, requires_grad=True)
+        with Tape() as tape:
+            updated = T.add(weights, shift)
+            if fused:
+                loss, _ = dual_loss(weights, updated, maps, masks, query, tuple(range(k)))
+            else:
+                loss = _oracle_dual_loss(weights, updated, maps, masks, query)
+        results.append((loss.item(), backward(tape, loss, [*maps, weights])))
+    (loss, grads), (want_loss, want_grads) = results
+    assert abs(loss - want_loss) <= 1e-12
+    for got, want in zip(grads, want_grads):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
 def test_dual_loss_end_to_end_gradients_pass_fd_check():
@@ -504,3 +585,29 @@ def test_capl_tr_differs_from_capl_only_in_context_branch():
     a, b = make_variant("capl_tr"), make_variant("capl")
     assert a.train_fake_novel == b.train_fake_novel
     assert a.train_fake_context != b.train_fake_context
+
+
+HEAP_PROBE = """
+import resource, sys
+from protoseg.scenes import SceneConfig, build_dataset
+from protoseg.training import TrainConfig, init_state, load_train_data, make_variant, run_training_loop
+
+manifest = build_dataset(SceneConfig(train_scenes=16, support_per_class=2, test_scenes=2), 0, sys.argv[1])
+data = load_train_data(manifest)
+state = init_state(TrainConfig(batch_size=8, steps=100, embed_dim=16), data, make_variant("capl"))
+run_training_loop(state, data, until=4)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+run_training_loop(state, data, until=8)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 4)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="the heap policy is glibc's mallopt")
+def test_train_steps_reuse_the_heap_instead_of_faulting_it_in(tmp_path):
+    # importing training keeps what one step frees for the next, so a
+    # 64x64, batch-8 capl step past warm-up faults in almost no fresh pages
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(training.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-c", HEAP_PROBE, str(tmp_path)], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert float(run.stdout) < 500, f"{run.stdout.strip()} minor page faults per step"

@@ -110,6 +110,10 @@ def cmd_train(args) -> int:
         raise ConfigError("--resume continues the snapshot's own config; drop --config")
     if args.stop_after is not None and args.stop_after < 0:
         raise ConfigError(f"--stop-after needs an integer >= 0, got {args.stop_after}")
+    if not args.resume:  # the config is checked before the dataset is read
+        doc = _load_config(args.config)
+        _known_sections(doc, {"scene", "train"})
+        config = _section(doc, "train", TrainConfig)
     manifest = load_manifest(args.data)
     data = load_train_data(manifest)
     if args.resume:
@@ -120,9 +124,6 @@ def cmd_train(args) -> int:
                 f"({state.variant.kind})"
             )
     else:
-        doc = _load_config(args.config)
-        _known_sections(doc, {"scene", "train"})
-        config = _section(doc, "train", TrainConfig)
         state = init_state(config, data, make_variant(args.variant or "capl"))
     until = None
     if args.stop_after is not None:

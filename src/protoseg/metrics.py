@@ -33,25 +33,27 @@ class ConfusionMatrix:
         return int(self.counts.sum())
 
     def accumulate(self, pred: np.ndarray, truth: np.ndarray) -> "ConfusionMatrix":
-        """Add one (prediction, ground truth) pair; returns self for chaining."""
+        """Add one (prediction, ground truth) pair of class ids; returns self for chaining."""
         pred = np.asarray(pred)
         truth = np.asarray(truth)
         if pred.shape != truth.shape:
             raise ShapeError(f"pred {pred.shape} vs truth {truth.shape}")
-        valid = truth != IGNORE_LABEL
-        t = truth[valid]
-        p = pred[valid]
-        if t.size == 0:
-            return self
+        scored, rows = self.truth_rows(truth)
+        return self.add_rows(rows, self._remap(pred[scored], "prediction"))
+
+    def truth_rows(self, truth: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The pixels of ``truth`` not ignored, and their rows; a ``DataError`` if unlisted."""
+        scored = truth != IGNORE_LABEL
+        return scored, self._remap(truth[scored], "truth")
+
+    def add_rows(self, truth_rows: np.ndarray, pred_rows: np.ndarray) -> "ConfusionMatrix":
+        """Count (truth row, predicted row) pairs, a row indexing ``class_ids``."""
         n = len(self.class_ids)
-        ti = self._remap(t, "truth")
-        pi = self._remap(p, "prediction")
-        flat = np.bincount(ti * n + pi, minlength=n * n)
-        self.counts += flat.reshape(n, n)
+        self.counts += np.bincount(truth_rows * n + pred_rows, minlength=n * n).reshape(n, n)
         return self
 
     def _remap(self, values: np.ndarray, what: str) -> np.ndarray:
-        if values.min() < 0 or values.max() >= len(self._rows):
+        if values.size and (values.min() < 0 or values.max() >= len(self._rows)):
             raise DataError(f"unregistered class id in {what}")
         mapped = self._rows[values]
         if (mapped < 0).any():

@@ -1,15 +1,16 @@
 """Evaluation protocols: multi-seed generalized eval, episodic binary eval,
 and the fusion-strategy ablation grid.
 
-Each test map is extracted and normalized once per call and cached as unit
-rows, shared across support-sampling seeds; each seed registers its supports,
-normalizes its prototype rows once and scores the cached rows. The episodic
-protocol caches its query maps as unit rows too, and pools each support-pool
-scene once per call, summing the cached parts in every episode that draws it.
+The generalized protocol is one streamed pass: every seed registers first,
+then each test map is loaded, turned into unit rows, scored for all seeds in
+one product and counted before the next is loaded. The episodic protocol
+caches its query maps as unit rows, and pools each support-pool scene once
+per call, summing the cached parts in every episode that draws it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -74,36 +75,46 @@ def run_gfs_protocol(
     k: int | None,
     seeds,
 ) -> MetricsReport:
-    """Register novel classes per seed, score every test image, average seeds.
+    """Register every seed's novel classes, then score each test image once for
+    all seeds, and average the seeds; an error of one seed's run names the seed.
 
     ``k`` falsy runs a base-only pass: no supports and no use of ``seeds``,
     and test pixels of unregistered classes are treated as ignore.
     """
     if not manifest.test:
         raise DataError("manifest has an empty test set")
-    pairs = [load_pair(manifest, e) for e in manifest.test]
-    rows = [unit_rows(extract_features(model.backbone, img)) for img, _ in pairs]
-    truths = [mask.reshape(-1) for _, mask in pairs]
-    if not k:
-        keep = sorted(model.classifier.class_ids)
-        truths = [np.where(np.isin(truth, keep), truth, IGNORE_LABEL) for truth in truths]
-
+    runs = [] if k else [(None, model.classifier)]  # the base-only pass registers nothing
+    for seed in seeds if k else ():
+        with _errors_name(seed):
+            runs.append((seed, register_for_variant(model, sample_support_set(manifest, k, seed))))
+    if not runs:
+        return mean_report([])  # no seed to score: a DegenerateError
+    score = scorer([clf for _, clf in runs])
+    matrices = [ConfusionMatrix(clf.class_ids) for _, clf in runs]
+    for entry in manifest.test:
+        image, mask = load_pair(manifest, entry)
+        if not k:
+            mask = np.where(np.isin(mask, model.classifier.class_ids), mask, IGNORE_LABEL)
+        predicted = score(unit_rows(extract_features(model.backbone, image)))
+        with _errors_name(runs[0][0]):  # every seed registers all novel classes: one class set
+            pixels, rows = matrices[0].truth_rows(mask.reshape(-1))
+        for cm, (pred, _) in zip(matrices, predicted):
+            cm.add_rows(rows, pred[pixels])
     per_seed = []
-    for seed in seeds if k else (None,):  # the base-only pass registers nothing
-        try:
-            clf = model.classifier
-            if k:
-                clf = register_for_variant(model, sample_support_set(manifest, k, seed))
-            score = scorer(clf)
-            cm = ConfusionMatrix(clf.class_ids)
-            for row, truth in zip(rows, truths):
-                cm.accumulate(score(row)[0], truth)
+    for (seed, clf), cm in zip(runs, matrices):
+        with _errors_name(seed):
             per_seed.append(summarize_confusion(cm, clf.roles, seed=seed))
-        except ProtosegError as exc:
-            if not k:
-                raise
-            raise type(exc)(f"seed {seed}: {exc}") from exc
     return mean_report(per_seed)
+
+
+@contextlib.contextmanager
+def _errors_name(seed):
+    try:
+        yield
+    except ProtosegError as exc:
+        if seed is None:
+            raise
+        raise type(exc)(f"seed {seed}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +181,7 @@ def run_fs_protocol(
         qi = int(rng.choice(queries[u]))
         if qi not in test_rows:
             test_rows[qi] = unit_rows(extract_features(model.backbone, test_pairs[qi][0]))
-        pred, _ = scorer(clf)(test_rows[qi])
+        [(pred, _)] = scorer([clf])(test_rows[qi])  # rows 0 and 1 are ids 0 and 1
         matrices[u].accumulate(pred, _binary_truth(test_pairs[qi][1], u).reshape(-1))
 
     per_class = {}

@@ -3,7 +3,7 @@
 A classifier is an ordered list of class prototypes. One head scores every
 pixel against them: the cosine similarity scaled by ``DEFAULT_ALPHA``, whose
 logits half ``tensor.cosine_logits`` both training's cross entropy and
-inference's ``classify`` call. Novel classes are installed by mask-average pooling over
+inference's ``scorer`` call. Novel classes are installed by mask-average pooling over
 their support shots; base classes present in those supports can additionally
 be enriched by fusing their trained row with a pooled feature prototype,
 weighted by a small learned gate network or a fixed gamma. Both go through
@@ -14,6 +14,7 @@ too: the update that training rehearses is the one applied at inference.
 from __future__ import annotations
 
 import functools
+import itertools
 import numbers
 import re
 from dataclasses import dataclass, field
@@ -335,22 +336,24 @@ def unit_rows(features: Tensor) -> Tensor:
     return T.reshape(T.l2_normalize(features), (h * w, c))
 
 
-def scorer(classifier: Classifier):
-    """``classify``'s per-classifier half: normalizes the prototype rows once
-    and returns the function from unit rows (n, c) to (labels, logits (k, n))."""
-    unit = T.l2_normalize(Tensor(classifier.weights)).data
-    ids = np.asarray(classifier.class_ids)
-    ranks = np.arange(len(ids), 0, -1, dtype=np.uint8)[:, None]  # highest for row 0
+def scorer(classifiers):
+    """``classify``'s per-classifier half, for one classifier or many: it
+    normalizes the prototype rows once, and scores unit rows (n, c) for all in
+    one product, as each one's (predicted rows into ``class_ids``, logits (k, n))."""
+    table = np.vstack([T.l2_normalize(Tensor(c.weights)).data for c in classifiers])
+    bounds = [0, *itertools.accumulate(c.num_classes for c in classifiers)]
+    ranks = np.arange(IGNORE_LABEL, 0, -1, dtype=np.uint8)[:, None]  # its last k rows: k..1
 
-    def score(rows: Tensor) -> tuple[np.ndarray, np.ndarray]:
-        logits = T.cosine_logits(unit, rows.data, DEFAULT_ALPHA)
+    def score(rows: Tensor) -> list[tuple[np.ndarray, np.ndarray]]:
+        logits = T.cosine_logits(table, rows.data, DEFAULT_ALPHA)
         # bounded by alpha, but float32 unit rows can exceed norm 1 by rounding;
         # only inference clips, as a clipped training logit has no gradient
         np.clip(logits, -DEFAULT_ALPHA, DEFAULT_ALPHA, out=logits)
+        parts = [logits[lo:hi] for lo, hi in itertools.pairwise(bounds)]
         # argmax down the class axis without its transposed copy: the top rank
         # at the maximum is the lowest row; a NaN column matches none, row 0
-        first = ((logits == logits.max(axis=0)) * ranks).max(axis=0)
-        return ids[(len(ids) - first) % len(ids)], logits
+        firsts = [((p == p.max(axis=0)) * ranks[-len(p):]).max(axis=0) for p in parts]
+        return [((len(p) - first) % len(p), p) for p, first in zip(parts, firsts)]
 
     return score
 
@@ -362,5 +365,6 @@ def classify(classifier: Classifier, features: Tensor) -> tuple[np.ndarray, np.n
     scores equals argmax of the softmax, so no softmax is materialized.
     """
     h, w, _ = features.shape
-    labels, logits = scorer(classifier)(unit_rows(features))
+    [(rows, logits)] = scorer([classifier])(unit_rows(features))
+    labels = np.asarray(classifier.class_ids)[rows]
     return labels.reshape(h, w), logits.reshape(-1, h, w).transpose(1, 2, 0)

@@ -57,6 +57,8 @@ def workspace(tmp_path_factory):
     scene_cfg.write_text(json.dumps(SCENE_CFG))
     train_cfg = root / "train.json"
     train_cfg.write_text(json.dumps(TRAIN_CFG))
+    bad_lr_cfg = root / "bad_lr.json"
+    bad_lr_cfg.write_text(json.dumps({"train": {"lr": -1}}))
     data_dir = root / "data"
     assert main(["synth", "--config", str(scene_cfg), "--out", str(data_dir)]) == 0
     manifest = str(data_dir / "split0" / "manifest.json")
@@ -74,6 +76,7 @@ def workspace(tmp_path_factory):
         "root": root,
         "scene_cfg": str(scene_cfg),
         "train_cfg": str(train_cfg),
+        "bad_lr_cfg": str(bad_lr_cfg),
         "data_dir": str(data_dir),
         "manifest": manifest,
         "ckpt": ckpt,
@@ -454,6 +457,7 @@ def test_ablate_cache_under_a_file_exits_3(workspace, tmp_path):
         pytest.param("register", ("--seed", "-1"), id="register-seed-negative"),
         pytest.param("register", ("--shots", "0"), id="register-shots-zero"),
         pytest.param("register", ("--gamma", "1.5"), id="register-gamma-above-one"),
+        pytest.param("train", (), id="train-config-lr-negative"),
     ],
 )
 def test_bad_list_or_shot_flag_exits_2_and_writes_nothing(workspace, tmp_path, command, flags):
@@ -467,6 +471,8 @@ def test_bad_list_or_shot_flag_exits_2_and_writes_nothing(workspace, tmp_path, c
                 "--cache", str(tmp_path / "cache")]
     elif command == "register":
         args = ["register", "--model", model, "--data", data, "--shots", "1", "--out", out]
+    elif command == "train":
+        args = ["train", "--config", workspace["bad_lr_cfg"], "--data", data, "--out", out]
     else:
         args = ["eval", "--model", model, "--data", data, "--report", out]
     assert main(args + list(flags)) == 2

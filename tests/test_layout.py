@@ -58,6 +58,32 @@ def test_one_label_table_builder():
     assert len(builders) == 1
 
 
+def _src_nodes():
+    return [node for path in sorted(SRC.glob("*.py")) for node in ast.walk(ast.parse(path.read_text()))]
+
+
+def test_one_argmax_tie_rule():
+    # every prediction takes the lowest row at the maximum from scorer's one
+    # comparison against a column max; no argmax anywhere else
+    nodes = _src_nodes()
+    argmaxes = [n for n in nodes if isinstance(n, ast.Attribute) and n.attr in ("argmax", "nanargmax")]
+    tie_rules = [
+        n for n in nodes
+        if isinstance(n, ast.Compare) and isinstance(n.ops[0], ast.Eq)
+        and isinstance(n.comparators[0], ast.Call) and ast.unparse(n.comparators[0].func).endswith(".max")
+    ]
+    assert argmaxes == [] and len(tie_rules) == 1
+
+
+def test_one_confusion_matrix_accumulate_path():
+    # accumulate and the streamed gfs pass both count pairs through add_rows
+    adds = [
+        n for n in _src_nodes()
+        if isinstance(n, ast.AugAssign) and isinstance(n.target, ast.Attribute) and n.target.attr == "counts"
+    ]
+    assert len(adds) == 1
+
+
 def test_gradients_come_back_from_backward_not_from_a_tensor_slot():
     # backward(tape, loss, wrt) returns dLoss/dt; no tensor carries a gradient
     readers = [

@@ -2,12 +2,14 @@
 
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from protoseg import protocols
-from protoseg.errors import ConfigError, DataError, IoError
+from protoseg import tensor as T
+from protoseg.errors import ConfigError, DataError, EmptyMaskError, IoError
 from protoseg.model import from_train_state
 from protoseg.protocols import (
     model_for_variant,
@@ -19,6 +21,7 @@ from protoseg.protocols import (
     write_ablation_csv,
 )
 from protoseg.scenes import SceneConfig, build_dataset, load_manifest, sample_support_set
+from protoseg.tensor import IGNORE_LABEL
 from protoseg.training import TrainConfig, load_train_data, make_variant, train
 
 WORLD = SceneConfig(
@@ -123,12 +126,52 @@ def gfs_oracle(model, manifest, k, seeds):
     return mean_report(per_seed)
 
 
+# five seeds, one of them repeated: its two classifiers are scored apart
+FIVE_SEEDS = (123, 321, 7, 123, 55)
+
+
 @pytest.mark.parametrize("k", [1, 5, None])
 def test_gfs_protocol_equals_the_uncached_oracle(world, k):
     manifest, models = world
-    got = run_gfs_protocol(models["capl"], manifest, k, seeds=(123, 321))
-    want = gfs_oracle(models["capl"], manifest, k, seeds=(123, 321))
+    got = run_gfs_protocol(models["capl"], manifest, k, seeds=FIVE_SEEDS)
+    want = gfs_oracle(models["capl"], manifest, k, seeds=FIVE_SEEDS)
     assert report_to_json(got, {}) == report_to_json(want, {})
+    assert got.seeds == (list(FIVE_SEEDS) if k else [None])
+
+
+def test_gfs_protocol_casts_and_scores_each_test_map_once(world, monkeypatch):
+    # one product per map scores every seed's classifier, and the map's
+    # float32 unit rows are cast to float64 inside it: once per call
+    manifest, models = world
+    calls = []
+    logits = T.cosine_logits
+
+    def counted(unit_weights, unit_rows, alpha):
+        calls.append((unit_weights.shape[0], unit_rows.dtype))
+        return logits(unit_weights, unit_rows, alpha)
+
+    monkeypatch.setattr(T, "cosine_logits", counted)
+    run_gfs_protocol(models["capl"], manifest, 1, seeds=FIVE_SEEDS)
+    rows = models["capl"].classifier.num_classes + len(manifest.ids_with_role("novel"))
+    assert calls == [(5 * rows, np.float32)] * len(manifest.test)
+
+
+def test_gfs_registration_failure_names_its_seed(world, monkeypatch):
+    # the third of five seeds draws supports whose masks are all ignore
+    manifest, models = world
+    draw = protocols.sample_support_set
+
+    def blank_third(manifest, k, seed):
+        supports = draw(manifest, k, seed)
+        if seed == 7:
+            supports.samples = [
+                replace(s, mask=np.full_like(s.mask, IGNORE_LABEL)) for s in supports.samples
+            ]
+        return supports
+
+    monkeypatch.setattr(protocols, "sample_support_set", blank_third)
+    with pytest.raises(EmptyMaskError, match=r"^seed 7: novel class \d+ has no pixels in any shot$"):
+        run_gfs_protocol(models["capl"], manifest, 1, seeds=(123, 321, 7, 5, 9))
 
 
 def test_fs_protocol_smoke(world):

@@ -2,6 +2,7 @@
 
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -477,6 +478,16 @@ def test_train_rejects_novel_ids_in_masks():
     data = _tiny_data()
     data.masks[0][0, 0] = 7  # not a base class
     with pytest.raises(DataError):
+        train(_tiny_config(steps=1), data, make_variant("baseline"))
+
+
+@pytest.mark.parametrize("foreign", [-1, 7, 256, 10**12])
+def test_train_mask_ids_outside_the_base_set_are_listed_sorted(foreign):
+    # an id outside 0-255 is a DataError as well, never numpy's ValueError
+    data = _tiny_data()
+    data.masks[3][0, :2] = (foreign, 9)
+    extra = sorted({np.int64(foreign), np.int64(9)})
+    with pytest.raises(DataError, match=re.escape(f"train sample 3 contains non-base ids {extra}")):
         train(_tiny_config(steps=1), data, make_variant("baseline"))
 
 

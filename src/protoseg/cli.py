@@ -110,12 +110,7 @@ def cmd_train(args) -> int:
         raise ConfigError("--resume continues the snapshot's own config; drop --config")
     if args.stop_after is not None and args.stop_after < 0:
         raise ConfigError(f"--stop-after needs an integer >= 0, got {args.stop_after}")
-    if not args.resume:  # the config is checked before the dataset is read
-        doc = _load_config(args.config)
-        _known_sections(doc, {"scene", "train"})
-        config = _section(doc, "train", TrainConfig)
-    manifest = load_manifest(args.data)
-    data = load_train_data(manifest)
+    # the snapshot, or the config, is read and checked before the dataset
     if args.resume:
         state = load_train_state(args.resume)
         if args.variant and args.variant != state.variant.kind:
@@ -123,14 +118,16 @@ def cmd_train(args) -> int:
                 f"--variant {args.variant} disagrees with resumed checkpoint "
                 f"({state.variant.kind})"
             )
-    else:
-        state = init_state(config, data, make_variant(args.variant or "capl"))
-    until = None
-    if args.stop_after is not None:
-        if args.stop_after < state.step:
+        if args.stop_after is not None and args.stop_after < state.step:
             raise ConfigError("--stop-after is before the resumed step")
-        until = args.stop_after
-    run_training_loop(state, data, until=until)
+    else:
+        doc = _load_config(args.config)
+        _known_sections(doc, {"scene", "train"})
+        config = _section(doc, "train", TrainConfig)
+    data = load_train_data(load_manifest(args.data))
+    if not args.resume:
+        state = init_state(config, data, make_variant(args.variant or "capl"))
+    run_training_loop(state, data, until=args.stop_after)
     save_train_state(args.out, state)
     write_curve(state, args.curve or f"{args.out}.curve.csv")
     print(args.out)

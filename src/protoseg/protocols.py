@@ -4,8 +4,9 @@ and the fusion-strategy ablation grid.
 The generalized protocol is one streamed pass: every seed registers first,
 then each test map is loaded, turned into unit rows, scored for all seeds in
 one product and counted before the next is loaded. The episodic protocol
-caches its query maps as unit rows, and pools each support-pool scene once
-per call, summing the cached parts in every episode that draws it.
+keeps only the test scenes that hold a novel class, caches its query maps
+as unit rows, and pools each support-pool scene once per call, summing the
+cached parts in every episode that draws it.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .prototypes import (
     scorer,
     unit_rows,
 )
-from .scenes import DatasetManifest, load_pair, sample_support_set
+from .scenes import DatasetManifest, load_pair, present_ids, sample_support_set
 from .tensor import IGNORE_LABEL, Tensor
 from .training import TrainConfig, load_train_data, make_variant, train
 
@@ -129,6 +130,17 @@ def _binary_truth(mask: np.ndarray, fg_class: int) -> np.ndarray:
     return out
 
 
+def _query_scenes(manifest: DatasetManifest, novel_ids) -> tuple[dict, dict]:
+    """The test pairs that hold a novel class, by index, and each class's indices."""
+    test_pairs, queries = {}, {u: [] for u in novel_ids}
+    for i, entry in enumerate(manifest.test):
+        image, mask = load_pair(manifest, entry)
+        for u in queries.keys() & present_ids(mask).tolist():
+            queries[u].append(i)
+            test_pairs[i] = image, mask
+    return test_pairs, queries
+
+
 def run_fs_protocol(
     model: EvalModel,
     manifest: DatasetManifest,
@@ -153,8 +165,7 @@ def run_fs_protocol(
         raise DataError("manifest declares no novel classes")
 
     pools = {}
-    test_pairs = [load_pair(manifest, e) for e in manifest.test]
-    queries = {u: [i for i, (_, m) in enumerate(test_pairs) if (m == u).any()] for u in novel_ids}
+    test_pairs, queries = _query_scenes(manifest, novel_ids)
     for u in novel_ids:
         if not queries[u]:
             raise DataError(f"no test scene contains novel class {u}")

@@ -10,12 +10,16 @@ cross-validation; the split under test supplies the novel classes and
 everything else (plus background) stays base.
 
 Every scene derives its own generator stream from (seed, split, partition,
-index), so builds are byte-identical regardless of generation order.
+index), so builds are byte-identical regardless of generation order. Each
+shape is rastered inside its own box: rectangles and disks are drawn to fit
+the image and a triangle inside its span-sided window, except a zero-area
+triangle, whose footprint (a line, or every pixel) is rastered full-size.
 """
 
 from __future__ import annotations
 
 import colorsys
+import functools
 import json
 import os
 from dataclasses import dataclass
@@ -57,8 +61,8 @@ class SceneConfig:
             raise ConfigError("foreground classes must divide evenly into 4 splits")
         if not 0.0 <= self.cooc_prob <= 1.0:
             raise ConfigError(f"co-occurrence probability {self.cooc_prob} outside [0, 1]")
-        if self.height < 8 or self.width < 8:
-            raise ConfigError("images must be at least 8x8")
+        if self.height < 10 or self.width < 10:  # a triangle's span reaches 9
+            raise ConfigError(f"height and width must be at least 10, got {self.height}x{self.width}")
         if self.shapes_min < 0 or self.shapes_max < self.shapes_min:
             raise ConfigError("bad shapes-per-image range")
         if self.noise < 0:
@@ -95,11 +99,25 @@ class SceneConfig:
 
 def palette(config: SceneConfig) -> np.ndarray:
     """Row per class id: gray background, a hue wheel for foreground classes."""
-    colors = np.zeros((config.num_foreground + 1, 3))
+    return _palette(config.num_foreground).copy()
+
+
+@functools.cache
+def _palette(num_foreground: int) -> np.ndarray:
+    colors = np.zeros((num_foreground + 1, 3))
     colors[0] = (0.45, 0.45, 0.45)
-    for c in range(1, config.num_foreground + 1):
-        colors[c] = colorsys.hsv_to_rgb((c - 1) / config.num_foreground, 0.65, 0.85)
+    for c in range(1, num_foreground + 1):
+        colors[c] = colorsys.hsv_to_rgb((c - 1) / num_foreground, 0.65, 0.85)
+    colors.flags.writeable = False
     return colors
+
+
+def present_ids(mask: np.ndarray) -> np.ndarray:
+    """A mask's distinct ids, ascending: one 256-bin count, or ``np.unique`` past 0-255."""
+    flat = mask.reshape(-1)
+    if flat.size and 0 <= flat.min() and flat.max() <= IGNORE_LABEL:
+        return np.flatnonzero(np.bincount(flat, minlength=IGNORE_LABEL + 1))
+    return np.unique(flat)
 
 
 # ---------------------------------------------------------------------------
@@ -107,46 +125,52 @@ def palette(config: SceneConfig) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _raster_shape(kind: int, rng, h: int, w: int) -> np.ndarray | None:
-    """Boolean footprint of one random shape, or None if degenerate."""
-    yy, xx = np.mgrid[0:h, 0:w]
+def _raster_shape(kind: int, rng, h: int, w: int):
+    """One random shape as (box, hit): two slices of the image and the boolean
+    footprint inside them, or None below ``MIN_SHAPE_PIXELS`` pixels. A
+    triangle's box is its window, but a zero-area one's is the whole image:
+    its footprint, the line through its points or every pixel, leaves it."""
     if kind == 0:  # rectangle
         rh = int(rng.integers(3, max(4, h // 5) + 1))
         rw = int(rng.integers(3, max(4, w // 5) + 1))
         cy = int(rng.integers(rh, h - rh))
         cx = int(rng.integers(rw, w - rw))
-        hit = (np.abs(yy - cy) <= rh) & (np.abs(xx - cx) <= rw)
-    elif kind == 1:  # disk
+        box = slice(cy - rh, cy + rh + 1), slice(cx - rw, cx + rw + 1)
+        return box, np.ones((2 * rh + 1, 2 * rw + 1), dtype=bool)
+    if kind == 1:  # disk
         r = int(rng.integers(3, max(4, min(h, w) // 5) + 1))
         cy = int(rng.integers(r, h - r))
         cx = int(rng.integers(r, w - r))
-        hit = (yy - cy) ** 2 + (xx - cx) ** 2 <= r * r
-    else:  # triangle
-        span = int(rng.integers(8, max(9, min(h, w) // 2) + 1))
-        oy = int(rng.integers(0, h - span))
-        ox = int(rng.integers(0, w - span))
-        pts = rng.integers(0, span, (3, 2)) + [oy, ox]
-
-        def side(p, q):
-            return (q[1] - p[1]) * (yy - p[0]) - (q[0] - p[0]) * (xx - p[1])
-
-        d1, d2, d3 = side(pts[0], pts[1]), side(pts[1], pts[2]), side(pts[2], pts[0])
-        neg = (d1 < 0) | (d2 < 0) | (d3 < 0)
-        pos = (d1 > 0) | (d2 > 0) | (d3 > 0)
-        hit = ~(neg & pos)
+        d = np.arange(-r, r + 1)
+        box = slice(cy - r, cy + r + 1), slice(cx - r, cx + r + 1)
+        return box, d[:, None] ** 2 + d**2 <= r * r
+    # triangle
+    span = int(rng.integers(8, max(9, min(h, w) // 2) + 1))
+    oy = int(rng.integers(0, h - span))
+    ox = int(rng.integers(0, w - span))
+    (y0, x0), (y1, x1), (y2, x2) = rng.integers(0, span, (3, 2)).tolist()
+    box, yy, xx = np.s_[oy : oy + span, ox : ox + span], np.arange(span)[:, None], np.arange(span)
+    if (y1 - y0) * (x2 - x0) == (x1 - x0) * (y2 - y0):  # zero area: a line or every pixel
+        box, yy, xx = np.s_[:, :], np.arange(h)[:, None] - oy, np.arange(w) - ox
+    d1 = (x1 - x0) * (yy - y0) - (y1 - y0) * (xx - x0)
+    d2 = (x2 - x1) * (yy - y1) - (y2 - y1) * (xx - x1)
+    d3 = (x0 - x2) * (yy - y2) - (y0 - y2) * (xx - x2)
+    hit = ~(((d1 < 0) | (d2 < 0) | (d3 < 0)) & ((d1 > 0) | (d2 > 0) | (d3 > 0)))
     if int(hit.sum()) < MIN_SHAPE_PIXELS:
         return None
-    return hit
+    return box, hit
 
 
 def _ignore_band(labels: np.ndarray) -> np.ndarray:
-    """Mark pixels whose 4-neighborhood crosses a label edge as ignore."""
-    out = labels.copy()
+    """The int64 mask, with pixels whose 4-neighborhood crosses a label edge as ignore."""
     edge = np.zeros(labels.shape, dtype=bool)
-    edge[:-1, :] |= labels[:-1, :] != labels[1:, :]
-    edge[1:, :] |= labels[1:, :] != labels[:-1, :]
-    edge[:, :-1] |= labels[:, :-1] != labels[:, 1:]
-    edge[:, 1:] |= labels[:, 1:] != labels[:, :-1]
+    down = labels[:-1, :] != labels[1:, :]
+    right = labels[:, :-1] != labels[:, 1:]
+    edge[:-1, :] |= down
+    edge[1:, :] |= down
+    edge[:, :-1] |= right
+    edge[:, 1:] |= right
+    out = labels.astype(np.int64)
     out[edge] = IGNORE_LABEL
     return out
 
@@ -174,7 +198,7 @@ def generate_scene(
     if not base_require <= allowed:
         raise GenerationError("required class is not allowed in this scene")
     h, w = config.height, config.width
-    colors = palette(config)
+    colors = _palette(config.num_foreground)
     candidates = sorted(c for c in allowed if c != 0)
 
     last_error = "no attempt made"
@@ -182,7 +206,7 @@ def generate_scene(
         n_shapes = int(rng.integers(config.shapes_min, config.shapes_max + 1))
         if not candidates:
             n_shapes = 0
-        classes = [int(rng.choice(candidates)) for _ in range(n_shapes)]
+        classes = [candidates[rng.integers(0, len(candidates))] for _ in range(n_shapes)]
 
         required = set(base_require)
         tinted: dict[int, int] = {}  # partner -> novel it co-occurs with
@@ -215,24 +239,23 @@ def generate_scene(
         if forbidden:
             safe = [c for c in candidates if c not in forbidden and c not in novel]
             safe = safe or [c for c in candidates if c not in forbidden]
-            classes = [
-                int(rng.choice(safe)) if c in forbidden else c for c in classes
-            ]
+            classes = [safe[rng.integers(0, len(safe))] if c in forbidden else c for c in classes]
 
-        labels = np.zeros((h, w), dtype=np.int64)
+        labels = np.zeros((h, w), dtype=np.uint8)
         image = np.tile(colors[0], (h, w, 1))
         ok = True
         for cls in classes:
-            hit = None
+            shape = None
             for _retry in range(8):
-                hit = _raster_shape(int(rng.integers(0, 3)), rng, h, w)
-                if hit is not None:
+                shape = _raster_shape(int(rng.integers(0, 3)), rng, h, w)
+                if shape is not None:
                     break
-            if hit is None:
+            if shape is None:
                 ok = False
                 last_error = "could not place a non-degenerate shape"
                 break
-            labels[hit] = cls
+            box, hit = shape
+            labels[box][hit] = cls
             color = colors[cls]
             if cls in tinted:
                 # co-occurring partners fade toward the background shade, so
@@ -240,18 +263,18 @@ def generate_scene(
                 # from supports has something real to recover
                 color = (1 - config.context_tint) * color + config.context_tint * colors[0]
             color = color + config.color_jitter * rng.uniform(-1, 1, 3)
-            image[hit] = np.clip(color, 0.0, 1.0)
+            image[box][hit] = np.clip(color, 0.0, 1.0)
         if not ok:
             continue
 
         masked = _ignore_band(labels)
-        visible = set(np.unique(masked)) - {IGNORE_LABEL}
+        visible = set(present_ids(masked).tolist()) - {IGNORE_LABEL}
         if not required <= visible:
             last_error = f"classes {sorted(required - visible)} not visible"
             continue
 
-        image = image + rng.normal(0.0, config.noise, image.shape)
-        return Tensor(np.clip(image, 0.0, 1.0)), masked
+        image += rng.normal(0.0, config.noise, image.shape)
+        return Tensor(np.clip(image, 0.0, 1.0, out=image)), masked
 
     raise GenerationError(f"scene generation failed after {MAX_ATTEMPTS} attempts: {last_error}")
 
@@ -328,8 +351,7 @@ def build_dataset(config: SceneConfig, split_index: int, out_dir: str) -> Datase
     allowed_train = set(base)
     for i in range(config.train_scenes):
         image, mask = generate_scene(config, novel, allowed_train, scene_rng(0, i))
-        novel_px = np.isin(mask, novel).sum()
-        if novel_px:
+        if not set(novel).isdisjoint(present_ids(mask).tolist()):
             raise GenerationError("novel class leaked into a train scene")
         train_entries.append(PairEntry(*emit(f"train_{i:04d}", image, mask)))
 

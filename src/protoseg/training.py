@@ -32,7 +32,7 @@ from .prototypes import (
     row_table,
     update_rows,
 )
-from .scenes import DatasetManifest, load_pair
+from .scenes import DatasetManifest, load_pair, present_ids
 from .tensor import IGNORE_LABEL, Tape, Tensor, backward
 
 # the SGD recipe: momentum, poly learning-rate decay exponent, weight decay
@@ -134,14 +134,6 @@ def partition_batch(samples, rng: np.random.Generator) -> TrainBatch:
     return TrainBatch(list(samples), tuple(support), tuple(query))
 
 
-def _present_ids(mask: np.ndarray) -> np.ndarray:
-    """A mask's distinct ids, ascending: one 256-bin count, or ``np.unique`` past 0-255."""
-    flat = mask.reshape(-1)
-    if flat.size and 0 <= flat.min() and flat.max() <= IGNORE_LABEL:
-        return np.flatnonzero(np.bincount(flat, minlength=IGNORE_LABEL + 1))
-    return np.unique(flat)
-
-
 def select_fake_classes(batch: TrainBatch, rng: np.random.Generator) -> FakeSplit:
     """Split the non-background classes present in the fake-support half.
 
@@ -151,7 +143,7 @@ def select_fake_classes(batch: TrainBatch, rng: np.random.Generator) -> FakeSpli
     """
     present: set[int] = set()
     for i in batch.fake_support_idx:
-        present.update(_present_ids(batch.samples[i][1]).tolist())
+        present.update(present_ids(batch.samples[i][1]).tolist())
     present -= {0, IGNORE_LABEL}
     ordered = sorted(present)
     if not ordered:
@@ -234,7 +226,7 @@ def load_train_data(manifest: DatasetManifest) -> TrainData:
 def _validate_train_masks(data: TrainData) -> None:
     legal = set(data.class_ids) | {IGNORE_LABEL}
     for i, mask in enumerate(data.masks):
-        extra = set(_present_ids(mask)) - legal
+        extra = set(present_ids(mask)) - legal
         if extra:
             raise DataError(f"train sample {i} contains non-base ids {sorted(extra)}")
 

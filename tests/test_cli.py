@@ -150,6 +150,28 @@ def test_bad_scene_value_exits_2_and_writes_nothing(tmp_path, key, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("side", [8, 9])
+def test_a_scene_side_below_ten_exits_2_and_writes_nothing(tmp_path, side, capsys):
+    # a triangle's span reaches 9, so a smaller side has no room to place one
+    cfg = tmp_path / "s.json"
+    cfg.write_text(json.dumps({"scene": {"height": side, "width": side}}))
+    out = tmp_path / "data"
+    assert main(["synth", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "at least 10" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_ten_by_ten_scenes_build(tmp_path):
+    cfg = tmp_path / "s.json"
+    scene = {"height": 10, "width": 10, "train_scenes": 40, "support_per_class": 10, "test_scenes": 20}
+    cfg.write_text(json.dumps({"scene": scene}))
+    assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "data")]) == 0
+    for split in range(4):
+        manifest = load_manifest(str(tmp_path / "data" / f"split{split}" / "manifest.json"))
+        assert len(manifest.train) == 40 and len(manifest.test) == 20
+        assert read_pgm(os.path.join(manifest.base_dir, manifest.test[0].mask)).shape == (10, 10)
+
+
 def test_bad_train_value_exits_2_before_training(workspace, tmp_path):
     cfg = tmp_path / "t.json"
     cfg.write_text(json.dumps({"train": {**TRAIN_CFG["train"], "lr": -1.0}}))
@@ -241,6 +263,35 @@ def test_resume_with_a_config_exits_2_before_any_file_is_read(workspace, tmp_pat
     code = main(["train", "--config", str(cfg), "--data", data, "--resume", snapshot,
                  "--out", out])
     assert code == 2 and "--config" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_resume_from_a_missing_snapshot_exits_3_before_the_train_pairs_are_read(
+    workspace, tmp_path, monkeypatch
+):
+    def no_read(*args):
+        raise AssertionError("the train pairs were read")
+
+    monkeypatch.setattr("protoseg.cli.load_train_data", no_read)
+    out = str(tmp_path / "out.ckpt")
+    code = main(["train", "--data", workspace["manifest"], "--resume", str(tmp_path / "absent.ckpt"),
+                 "--out", out])
+    assert code == 3
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [(["--variant", "baseline"], "--variant"), (["--stop-after", "3"], "--stop-after")],
+)
+def test_resume_checks_its_flags_against_the_snapshot_before_the_manifest(
+    workspace, tmp_path, capsys, flags, message
+):
+    # the capl snapshot has run all 12 steps, so stopping after 3 is too late
+    out = str(tmp_path / "out.ckpt")
+    code = main(["train", "--data", str(tmp_path / "absent.json"), "--resume", workspace["ckpt"],
+                 "--out", out, *flags])
+    assert code == 2 and message in capsys.readouterr().err
     assert not os.path.exists(out)
 
 

@@ -96,6 +96,12 @@ def test_gradients_come_back_from_backward_not_from_a_tensor_slot():
     assert Tensor.__slots__ == ("data", "requires_grad")
 
 
+def test_one_present_ids_rule():
+    # which ids a mask holds is present_ids' one 256-bin count; np.unique is
+    # its fallback for ids past 0-255 and appears nowhere else
+    assert _source().count("np.unique(") == 1
+
+
 def test_one_json_file_reader():
     assert _source().count("json.load(") == 1
 

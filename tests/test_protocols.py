@@ -262,6 +262,35 @@ def test_fs_protocol_extracts_each_drawn_scene_once(world, monkeypatch):
     assert len(calls) == len(shots_drawn) + len(queries_drawn)
 
 
+def test_fs_protocol_keeps_only_the_test_scenes_that_hold_a_novel_class(world, monkeypatch):
+    import weakref
+
+    manifest, models = world
+    novel = set(manifest.ids_with_role("novel"))
+    masks = {}  # test index -> weak reference to its loaded mask
+    load = protocols.load_pair
+
+    def tracked(manifest_, entry):
+        image, mask = load(manifest_, entry)
+        if entry in manifest.test:
+            masks[manifest.test.index(entry)] = weakref.ref(mask), novel & set(mask.reshape(-1).tolist())
+        return image, mask
+
+    alive_while_scoring = []
+    score = protocols.scorer
+
+    def watched(classifiers):
+        alive_while_scoring.append({i for i, (ref, _) in masks.items() if ref() is not None})
+        return score(classifiers)
+
+    monkeypatch.setattr(protocols, "load_pair", tracked)
+    monkeypatch.setattr(protocols, "scorer", watched)
+    run_fs_protocol(models["capl"], manifest, 1, episodes=6, seed=5)
+    held = {i for i, (_, classes) in masks.items() if classes}
+    assert len(masks) == len(manifest.test) and len(held) < len(masks)
+    assert alive_while_scoring == [held] * 6
+
+
 def test_fs_protocol_validates_arguments(world):
     manifest, models = world
     with pytest.raises(ConfigError):

@@ -10,9 +10,11 @@ import pytest
 from protoseg.errors import ConfigError, DataError, FormatError, GenerationError
 from protoseg.netpbm import read_pgm, read_ppm, write_pgm, write_ppm
 from protoseg.scenes import (
+    MIN_SHAPE_PIXELS,
     DatasetManifest,
     PairEntry,
     SceneConfig,
+    _raster_shape,
     build_dataset,
     generate_scene,
     load_manifest,
@@ -161,6 +163,100 @@ def test_cooc_frequency_within_five_points():
     assert abs(rate - cfg.cooc_prob) <= 0.05
 
 
+def _full_grid_raster_shape(kind: int, rng, h: int, w: int) -> np.ndarray | None:
+    """The footprint oracle: each shape rastered over the whole image."""
+    yy, xx = np.mgrid[0:h, 0:w]
+    if kind == 0:  # rectangle
+        rh = int(rng.integers(3, max(4, h // 5) + 1))
+        rw = int(rng.integers(3, max(4, w // 5) + 1))
+        cy = int(rng.integers(rh, h - rh))
+        cx = int(rng.integers(rw, w - rw))
+        hit = (np.abs(yy - cy) <= rh) & (np.abs(xx - cx) <= rw)
+    elif kind == 1:  # disk
+        r = int(rng.integers(3, max(4, min(h, w) // 5) + 1))
+        cy = int(rng.integers(r, h - r))
+        cx = int(rng.integers(r, w - r))
+        hit = (yy - cy) ** 2 + (xx - cx) ** 2 <= r * r
+    else:  # triangle
+        span = int(rng.integers(8, max(9, min(h, w) // 2) + 1))
+        oy = int(rng.integers(0, h - span))
+        ox = int(rng.integers(0, w - span))
+        pts = rng.integers(0, span, (3, 2)) + [oy, ox]
+
+        def side(p, q):
+            return (q[1] - p[1]) * (yy - p[0]) - (q[0] - p[0]) * (xx - p[1])
+
+        d1, d2, d3 = side(pts[0], pts[1]), side(pts[1], pts[2]), side(pts[2], pts[0])
+        neg = (d1 < 0) | (d2 < 0) | (d3 < 0)
+        pos = (d1 > 0) | (d2 > 0) | (d3 > 0)
+        hit = ~(neg & pos)
+    if int(hit.sum()) < MIN_SHAPE_PIXELS:
+        return None
+    return hit
+
+
+def _painted(shape, h: int, w: int) -> np.ndarray | None:
+    """A boxed shape painted onto an empty image, as generate_scene paints it."""
+    if shape is None:
+        return None
+    box, hit = shape
+    out = np.zeros((h, w), dtype=bool)
+    assert out[box].shape == hit.shape
+    out[box][hit] = True
+    return out
+
+
+def _same(a, b) -> bool:
+    return a is None and b is None or a is not None and b is not None and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("h, w", [(10, 10), (24, 24), (64, 64), (80, 48)])
+@pytest.mark.parametrize("kind", [0, 1, 2])
+def test_boxed_shapes_equal_the_full_grid_oracle_and_draw_alike(kind, h, w):
+    ours, oracle = np.random.default_rng((kind, h, w)), np.random.default_rng((kind, h, w))
+    whole_image_boxes = 0
+    for _ in range(2000):
+        shape = _raster_shape(kind, ours, h, w)
+        assert _same(_painted(shape, h, w), _full_grid_raster_shape(kind, oracle, h, w))
+        assert ours.bit_generator.state == oracle.bit_generator.state
+        whole_image_boxes += shape is not None and shape[1].shape == (h, w)
+    # only a zero-area triangle is rastered over the whole image; the draws
+    # keep some wherever a line across the image reaches MIN_SHAPE_PIXELS
+    assert bool(whole_image_boxes) == (kind == 2 and min(h, w) >= MIN_SHAPE_PIXELS)
+
+
+class _Scripted:
+    """A generator stand-in that hands out the given draws in order."""
+
+    def __init__(self, *draws):
+        self.draws = list(draws)
+
+    def integers(self, low, high, size=None):
+        value = np.asarray(self.draws.pop(0))
+        assert value.shape == (size or ()) and (low <= value).all() and (value < high).all()
+        return value if size else int(value)
+
+
+@pytest.mark.parametrize(
+    "pts",
+    [
+        [[3, 3], [3, 3], [3, 3]],  # coincident: every pixel
+        [[1, 2], [1, 2], [6, 5]],  # two coincide: the line through both points
+        [[4, 0], [4, 7], [4, 3]],  # a whole row
+        [[0, 2], [7, 2], [3, 2]],  # a whole column
+        [[0, 0], [7, 7], [2, 2]],  # a diagonal that leaves its window
+        [[0, 0], [1, 3], [2, 6]],  # a line with too few pixels: None
+        [[0, 0], [0, 1], [1, 0]],  # a non-degenerate triangle too small: None
+        [[0, 0], [7, 1], [2, 7]],
+    ],
+)
+@pytest.mark.parametrize("h, w", [(10, 10), (24, 24), (80, 48)])
+def test_forced_triangles_paint_the_oracle_footprint(pts, h, w):
+    draws = (8, 1, 1, pts)
+    got = _painted(_raster_shape(2, _Scripted(*draws), h, w), h, w)
+    assert _same(got, _full_grid_raster_shape(2, _Scripted(*draws), h, w))
+
+
 def test_partner_assignment_leaves_split():
     cfg = SceneConfig()
     for split in range(4):
@@ -217,6 +313,34 @@ def test_rebuild_is_byte_identical(tmp_path, built):
         a = open(os.path.join(out, name), "rb").read()
         b = open(os.path.join(out2, name), "rb").read()
         assert hashlib.sha256(a).hexdigest() == hashlib.sha256(b).hexdigest(), name
+
+
+@pytest.mark.parametrize(
+    "config, split, digest",
+    [
+        pytest.param(  # 15 of its 1,222 triangles have zero area and are painted
+            SceneConfig(), 0, "adb0f05a56764ea851ac17490f839ab2fccaf44af27cd795d95a02ecc2084086",
+            id="default-split0",
+        ),
+        pytest.param(
+            SceneConfig(height=32, width=32, train_scenes=40, support_per_class=10, test_scenes=30, seed=5),
+            1, "b6ff47c2165f0ed67a26738d88b0eb66a8380fba444bf7955d69d75cd30007ea", id="32x32-split1",
+        ),
+        pytest.param(
+            SceneConfig(height=80, width=48, cooc_prob=0.3, train_scenes=40, support_per_class=10,
+                        test_scenes=30, seed=9),
+            2, "90f5ee43a042a19473f7851b30b89c0af5b46e6d6c95465f146dd2000a8a9eef", id="80x48-split2",
+        ),
+    ],
+)
+def test_split_bytes_are_pinned(tmp_path, config, split, digest):
+    # every file of the split, names included, as the full-grid generator wrote it
+    build_dataset(config, split, str(tmp_path))
+    sha = hashlib.sha256()
+    for name in sorted(os.listdir(tmp_path)):
+        sha.update(name.encode())
+        sha.update((tmp_path / name).read_bytes())
+    assert sha.hexdigest() == digest
 
 
 def test_manifest_round_trip(built):
@@ -294,6 +418,8 @@ def test_config_validation():
         ("color_jitter", float("inf")),
         pytest.param("noise", 10**400, id="noise-huge_int"),
         pytest.param("num_foreground", 256, id="num_foreground-beyond-an-8-bit-mask"),
+        ("height", 9),
+        ("width", 8),
     ],
 )
 def test_scene_config_rejects_bad_values_at_construction(field, value):

@@ -134,12 +134,6 @@ def _op_probes(rng):
         fw = rng.uniform(-1, 1, 15)
         return (lambda t: _scalarize(T.concat([t, other]), fw)), x0
 
-    def stack_build():
-        x0 = Tensor(rng.uniform(-2, 2, 4))
-        others = [Tensor(rng.uniform(-2, 2, 4)) for _ in range(2)]
-        fw = rng.uniform(-1, 1, 12)
-        return (lambda t: _scalarize(T.stack([t, *others]), fw)), x0
-
     return {
         "add": via("add", (5,), x_shape=(5,)),
         "mul": via("mul", (5,), x_shape=(5,)),
@@ -150,11 +144,9 @@ def _op_probes(rng):
         "linear": via("linear", (4, 3), (3,), x_shape=(4,)),
         "reshape": via("reshape", x_shape=(6,), shape=(2, 3)),
         "concat": concat_build,
-        "stack": stack_build,
         "take_row": via("take_row", x_shape=(3, 4), index=1),
         "conv2d": via("conv2d", (3, 3, 2, 2), (2,), x_shape=(4, 4, 2)),
         "masked_sum": via("masked_sum", x_shape=(4, 3, 2), mask=mask),
-        "l2_normalize": via("l2_normalize", x_shape=(3, 4)),
         "softmax_cross_entropy": ce_build,
     }
 

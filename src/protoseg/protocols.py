@@ -39,7 +39,7 @@ from .prototypes import (
     unit_rows,
 )
 from .scenes import DatasetManifest, load_pair, present_ids, sample_support_set
-from .tensor import IGNORE_LABEL, Tensor
+from .tensor import IGNORE_LABEL
 from .training import TrainConfig, load_train_data, make_variant, train
 
 
@@ -171,7 +171,7 @@ def run_fs_protocol(
             raise DataError(f"no test scene contains novel class {u}")
         pools[u] = manifest.support_pool_for(u, k)
 
-    test_rows: dict[int, Tensor] = {}
+    test_rows: dict[int, np.ndarray] = {}
     # (class, pool index) -> foreground and background masked_sum_part
     parts: dict[tuple[int, int], tuple] = {}
     rng = np.random.default_rng(seed)

@@ -154,8 +154,6 @@ def parameters_from_named(named: dict[str, Tensor]) -> tuple[BackboneParams, Ten
 
 
 def init_gamma_net(c: int, seed: int) -> GammaNet:
-    if c < 2:
-        raise ConfigError(f"embed_dim must be >= 2, got {c}")
     rng = np.random.default_rng(seed)
     s1 = np.sqrt(1.0 / (2 * c))
     s2 = np.sqrt(1.0 / c)
@@ -277,7 +275,7 @@ def update_rows(weights: Tensor, class_ids, gate, feats, masks, replace, fuse):
             rows.append(fuse_prototype(p_cls, means[cid], gamma))
         else:
             rows.append(T.take_row(weights, idx))
-    return T.stack(rows), gammas
+    return T.reshape(T.concat(rows), (len(rows), weights.shape[1])), gammas
 
 
 # ---------------------------------------------------------------------------
@@ -330,22 +328,21 @@ def register_novel_classes(
     return make_classifier(ids + declared, np.vstack([rows.data, *novel_rows]), roles)
 
 
-def unit_rows(features: Tensor) -> Tensor:
+def unit_rows(features: Tensor) -> np.ndarray:
     """``classify``'s per-image half: an (h, w, c) map as (h*w, c) unit rows."""
-    h, w, c = features.shape
-    return T.reshape(T.l2_normalize(features), (h * w, c))
+    return T.unit(features.data.reshape(-1, features.shape[-1]))[0]
 
 
 def scorer(classifiers):
     """``classify``'s per-classifier half, for one classifier or many: it
     normalizes the prototype rows once, and scores unit rows (n, c) for all in
     one product, as each one's (predicted rows into ``class_ids``, logits (k, n))."""
-    table = np.vstack([T.l2_normalize(Tensor(c.weights)).data for c in classifiers])
+    table = np.vstack([T.unit(c.weights)[0] for c in classifiers])
     bounds = [0, *itertools.accumulate(c.num_classes for c in classifiers)]
     ranks = np.arange(IGNORE_LABEL, 0, -1, dtype=np.uint8)[:, None]  # its last k rows: k..1
 
-    def score(rows: Tensor) -> list[tuple[np.ndarray, np.ndarray]]:
-        logits = T.cosine_logits(table, rows.data, DEFAULT_ALPHA)
+    def score(rows: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+        logits = T.cosine_logits(table, rows, DEFAULT_ALPHA)
         # bounded by alpha, but float32 unit rows can exceed norm 1 by rounding;
         # only inference clips, as a clipped training logit has no gradient
         np.clip(logits, -DEFAULT_ALPHA, DEFAULT_ALPHA, out=logits)

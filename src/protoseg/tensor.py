@@ -247,23 +247,6 @@ def concat(tensors: Sequence[Tensor]) -> Tensor:
     return _record("concat", tuple(parts), out, back)
 
 
-def stack(vectors: Sequence[Tensor]) -> Tensor:
-    """Stack equal-length vectors into a (n, len) matrix."""
-    parts = list(vectors)
-    if not parts:
-        raise ShapeError("stack of zero vectors")
-    length = parts[0].data.size
-    for t in parts:
-        if t.data.ndim != 1 or t.data.size != length:
-            raise ShapeError("stack expects 1-d vectors of equal length")
-    out = Tensor(np.stack([t.data for t in parts], axis=0))
-
-    def back(g):
-        return [(t, g[i]) for i, t in enumerate(parts)]
-
-    return _record("stack", tuple(parts), out, back)
-
-
 def take_row(a: Tensor, index: int) -> Tensor:
     if a.data.ndim != 2:
         raise ShapeError("take_row expects a matrix")
@@ -367,30 +350,20 @@ def masked_sum(features: Tensor, mask: np.ndarray) -> Tensor:
     return _record("masked_sum", (features,), out, back)
 
 
-def _unit(a: np.ndarray):
-    """Rows of ``a`` (its last axis) at unit length, a row of norm <= 1e-8
-    mapping to zeros, and the pullback from their gradient to ``a``'s."""
+def unit(a: np.ndarray):
+    """The one unit-row function: rows of ``a`` (its last axis) at unit
+    length, a row of norm <= 1e-8 mapping to zeros, and the pullback from
+    their gradient to ``a``'s."""
     norms = np.sqrt(np.einsum("...i,...i->...", a, a))[..., None]
     inv = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 1e-8)
-    unit = a * inv
+    y = a * inv
 
     def back(g):
-        da = g - unit * np.einsum("...i,...i->...", unit, g)[..., None]
+        da = g - y * np.einsum("...i,...i->...", y, g)[..., None]
         da *= inv
         return da
 
-    return unit, back
-
-
-def l2_normalize(a: Tensor) -> Tensor:
-    """Normalize the last axis to unit length; norms <= 1e-8 map to zero vectors."""
-    y, unit_back = _unit(a.data)
-    out = Tensor(y)
-
-    def back(g):
-        return [(a, unit_back(g))]
-
-    return _record("l2_normalize", (a,), out, back)
+    return y, back
 
 
 def cosine_logits(unit_weights: np.ndarray, unit_rows: np.ndarray, alpha: float) -> np.ndarray:
@@ -433,7 +406,7 @@ def _cross_entropy(logits: np.ndarray, labels: np.ndarray):
 def softmax_cross_entropy(maps: Sequence[Tensor], weights: Tensor, labels, alpha: float) -> Tensor:
     """The cosine head's mean cross entropy over the pixels of ``maps``.
 
-    Each (..., c) map's unit rows, as ``l2_normalize`` makes them, are cast to
+    Each (..., c) map's rows are scaled to unit length by ``unit``, cast to
     float64 once and scored class-major by ``cosine_logits`` against the unit
     rows of ``weights`` (k, c); ``labels`` holds each pixel's row, maps in
     order, or ``IGNORE_LABEL``. The pullback is written out by hand.
@@ -442,15 +415,15 @@ def softmax_cross_entropy(maps: Sequence[Tensor], weights: Tensor, labels, alpha
     if not parts or weights.data.ndim != 2 or any(m.shape[-1] != weights.shape[1] for m in parts):
         raise ShapeError(f"cross entropy: maps {[m.shape for m in parts]}, weights {weights.shape}")
     c = weights.shape[1]
-    units, unit_backs = zip(*(_unit(m.data.reshape(-1, c)) for m in parts))
+    units, unit_backs = zip(*(unit(m.data.reshape(-1, c)) for m in parts))
     rows = np.concatenate(units, dtype=np.float64)
-    unit_w, w_back = _unit(weights.data)
+    unit_w, w_back = unit(weights.data)
     loss, logits_back = _cross_entropy(cosine_logits(unit_w, rows, alpha), labels)
 
     def back(g):
         dz = logits_back(g)
         grads = [(weights, w_back(alpha * (dz @ rows)))]
-        # each map's pullback runs at the map's dtype, as l2_normalize's does
+        # each map's pullback runs at the map's dtype
         d_rows = np.split(dz.T @ (alpha * unit_w), np.cumsum([m.size // c for m in parts[:-1]]))
         for m, unit_back, d_unit in zip(parts, unit_backs, d_rows):
             grads.append((m, unit_back(d_unit.astype(m.data.dtype)).reshape(m.shape)))
@@ -469,11 +442,9 @@ _OPS: dict[str, Callable] = {
     "linear": linear,
     "reshape": reshape,
     "concat": concat,
-    "stack": stack,
     "take_row": take_row,
     "conv2d": conv2d,
     "masked_sum": masked_sum,
-    "l2_normalize": l2_normalize,
     "softmax_cross_entropy": softmax_cross_entropy,
 }
 

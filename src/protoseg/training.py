@@ -73,6 +73,10 @@ class TrainConfig:
             raise ConfigError(f"batch size must be >= 4, got {self.batch_size}")
         if self.lr <= 0:
             raise ConfigError("learning rate must be positive")
+        if self.embed_dim < 2:
+            raise ConfigError(f"embed_dim must be >= 2, got {self.embed_dim}")
+        if self.backbone_layers < 1:
+            raise ConfigError(f"backbone_layers must be >= 1, got {self.backbone_layers}")
         for name in ("steps", "seed"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be non-negative")
@@ -226,7 +230,7 @@ def load_train_data(manifest: DatasetManifest) -> TrainData:
 def _validate_train_masks(data: TrainData) -> None:
     legal = set(data.class_ids) | {IGNORE_LABEL}
     for i, mask in enumerate(data.masks):
-        extra = set(present_ids(mask)) - legal
+        extra = set(present_ids(mask).tolist()) - legal
         if extra:
             raise DataError(f"train sample {i} contains non-base ids {sorted(extra)}")
 

@@ -7,6 +7,7 @@ from protoseg.backbone import BackboneParams, extract_features, init_backbone
 from protoseg.errors import ConfigError, ShapeError
 from protoseg.gradcheck import _scalarize, gradient_check
 from protoseg.tensor import Tensor
+from protoseg.training import TrainConfig
 
 
 def test_zero_weights_zero_image_give_zero_features():
@@ -60,8 +61,11 @@ def test_init_layer_shapes():
 
 
 def test_init_rejects_tiny_embed_dim():
-    with pytest.raises(ConfigError):
-        init_backbone(c=1, layers=2, seed=0)
+    # the sizes init_backbone builds from are bounded where the config is parsed
+    with pytest.raises(ConfigError, match="embed_dim must be >= 2"):
+        TrainConfig(embed_dim=1)
+    with pytest.raises(ConfigError, match="backbone_layers must be >= 1"):
+        TrainConfig(backbone_layers=0)
 
 
 def test_channel_mismatch_raises():

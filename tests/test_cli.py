@@ -59,6 +59,10 @@ def workspace(tmp_path_factory):
     train_cfg.write_text(json.dumps(TRAIN_CFG))
     bad_lr_cfg = root / "bad_lr.json"
     bad_lr_cfg.write_text(json.dumps({"train": {"lr": -1}}))
+    bad_embed_cfg = root / "bad_embed.json"
+    bad_embed_cfg.write_text(json.dumps({"train": {"embed_dim": 1}}))
+    bad_layers_cfg = root / "bad_layers.json"
+    bad_layers_cfg.write_text(json.dumps({"train": {"backbone_layers": 0}}))
     data_dir = root / "data"
     assert main(["synth", "--config", str(scene_cfg), "--out", str(data_dir)]) == 0
     manifest = str(data_dir / "split0" / "manifest.json")
@@ -77,6 +81,8 @@ def workspace(tmp_path_factory):
         "scene_cfg": str(scene_cfg),
         "train_cfg": str(train_cfg),
         "bad_lr_cfg": str(bad_lr_cfg),
+        "bad_embed_cfg": str(bad_embed_cfg),
+        "bad_layers_cfg": str(bad_layers_cfg),
         "data_dir": str(data_dir),
         "manifest": manifest,
         "ckpt": ckpt,
@@ -509,11 +515,16 @@ def test_ablate_cache_under_a_file_exits_3(workspace, tmp_path):
         pytest.param("register", ("--shots", "0"), id="register-shots-zero"),
         pytest.param("register", ("--gamma", "1.5"), id="register-gamma-above-one"),
         pytest.param("train", (), id="train-config-lr-negative"),
+        pytest.param("train", ("--config", "bad_embed_cfg"), id="train-config-embed-dim-one"),
+        pytest.param("train", ("--config", "bad_layers_cfg"), id="train-config-layers-zero"),
+        pytest.param("ablate", ("--config", "bad_embed_cfg"), id="ablate-config-embed-dim-one"),
+        pytest.param("ablate", ("--config", "bad_layers_cfg"), id="ablate-config-layers-zero"),
     ],
 )
 def test_bad_list_or_shot_flag_exits_2_and_writes_nothing(workspace, tmp_path, command, flags):
     # neither the manifest nor the model exists: exit 2 rather than 3 shows
-    # the flags are checked before any file is read
+    # the flags are checked before any file is read; a workspace key among
+    # the flags names a config, and a repeated --config overrides the first
     data = str(tmp_path / "absent" / "manifest.json")
     model = str(tmp_path / "absent.ckpt")
     out = str(tmp_path / "out")
@@ -526,7 +537,7 @@ def test_bad_list_or_shot_flag_exits_2_and_writes_nothing(workspace, tmp_path, c
         args = ["train", "--config", workspace["bad_lr_cfg"], "--data", data, "--out", out]
     else:
         args = ["eval", "--model", model, "--data", data, "--report", out]
-    assert main(args + list(flags)) == 2
+    assert main(args + [workspace.get(f, f) for f in flags]) == 2
     assert os.listdir(tmp_path) == []
 
 

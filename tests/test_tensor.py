@@ -7,6 +7,7 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 import protoseg.tensor as T
+from protoseg import gradcheck
 from protoseg.errors import ConfigError, DegenerateBatchError, NumericalError, ShapeError
 from protoseg.gradcheck import _op_probes, gradient_check
 from protoseg.gradcheck import _scalarize as scalarize
@@ -24,8 +25,8 @@ def test_relu_example():
 
 
 def test_l2_normalize_345_triangle():
-    out = T.l2_normalize(Tensor([3.0, 4.0]))
-    np.testing.assert_allclose(out.data, [0.6, 0.8], rtol=0, atol=1e-15)
+    out, _ = T.unit(np.array([3.0, 4.0]))
+    np.testing.assert_allclose(out, [0.6, 0.8], rtol=0, atol=1e-15)
 
 
 def test_conv2d_1x1_hand_case():
@@ -235,15 +236,15 @@ def test_masked_sum_edge_masks_match_pixel_loop_bitwise(pattern, c):
 def test_l2_normalize_unit_norm_property():
     rng = np.random.default_rng(3)
     v = rng.uniform(-2, 2, (50, 8))
-    out = T.l2_normalize(Tensor(v))
-    norms = np.linalg.norm(out.data, axis=-1)
+    out, _ = T.unit(v)
+    norms = np.linalg.norm(out, axis=-1)
     np.testing.assert_allclose(norms, 1.0, rtol=0, atol=1e-12)
 
 
 def test_l2_normalize_subepsilon_maps_to_zero():
     v = np.array([1e-9, -1e-9, 0.0])
-    out = T.l2_normalize(Tensor(v))
-    np.testing.assert_array_equal(out.data, np.zeros(3))
+    out, _ = T.unit(v)
+    np.testing.assert_array_equal(out, np.zeros(3))
 
 
 ALPHA = 10.0
@@ -438,3 +439,18 @@ def test_every_op_kind_passes_finite_difference_check(kind):
         report = gradient_check(f, x0)
         assert report.tol == 1e-4
         assert report.passed, f"{kind}: {report}"
+
+
+def test_the_op_kinds_are_what_one_rehearsal_tape_records(monkeypatch):
+    # the audit's end-to-end batch rehearses a fake-novel and a fake-context
+    # class; probing the classifier weights tapes every parameter, and that
+    # tape holds every op kind and no other
+    def record(f, x):
+        with Tape() as tape:
+            f(Tensor(x.data, requires_grad=True))
+        return tuple(sorted({rec.kind for rec in tape.records}))
+
+    monkeypatch.setattr(gradcheck, "gradient_check", record)
+    kinds = dict(gradcheck.run_end_to_end_check())["classifier.weights"]
+    assert kinds == T.op_kinds()
+    assert len(T.op_kinds()) == 13

@@ -246,8 +246,21 @@ def test_training_loss_and_classify_score_pixels_alike():
 
 
 # the row-major head that the fused cross entropy replaced, kept as its oracle:
-# l2_normalize -> concat -> matmul -> scale -> softmax_cross_entropy over the
+# normalize -> concat -> matmul -> scale -> softmax_cross_entropy over the
 # gathered non-ignored rows
+
+
+def _oracle_normalize(a: Tensor) -> Tensor:
+    # rows at unit length; dividing by an infinite norm maps a row of norm
+    # <= 1e-8 to zeros
+    norm = np.linalg.norm(a.data, axis=-1, keepdims=True)
+    norm[norm <= 1e-8] = np.inf
+    y = a.data / norm
+
+    def back(g):
+        return [(a, (g - y * np.sum(y * g, axis=-1, keepdims=True)) / norm)]
+
+    return T._record("l2_normalize", (a,), Tensor(y), back)
 
 
 def _oracle_matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -276,8 +289,8 @@ def _oracle_row_major_ce(logits: Tensor, labels: np.ndarray) -> Tensor:
 
 def _oracle_ce(maps, weights: Tensor, labels: np.ndarray) -> Tensor:
     c = weights.shape[1]
-    rows = T.concat([T.reshape(T.l2_normalize(m), (m.size // c, c)) for m in maps])
-    logits = T.scale(_oracle_matmul(rows, T.l2_normalize(weights)), 10.0)
+    rows = T.concat([T.reshape(_oracle_normalize(m), (m.size // c, c)) for m in maps])
+    logits = T.scale(_oracle_matmul(rows, _oracle_normalize(weights)), 10.0)
     return _oracle_row_major_ce(logits, labels)
 
 
@@ -486,7 +499,7 @@ def test_train_mask_ids_outside_the_base_set_are_listed_sorted(foreign):
     # an id outside 0-255 is a DataError as well, never numpy's ValueError
     data = _tiny_data()
     data.masks[3][0, :2] = (foreign, 9)
-    extra = sorted({np.int64(foreign), np.int64(9)})
+    extra = sorted({foreign, 9})
     with pytest.raises(DataError, match=re.escape(f"train sample 3 contains non-base ids {extra}")):
         train(_tiny_config(steps=1), data, make_variant("baseline"))
 

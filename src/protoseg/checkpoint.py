@@ -2,16 +2,16 @@
 
 Layout (all integers little-endian):
 
-    magic "CAPL" | u8 version | u8 endian flag (1 = little) | u16 reserved
-    u32 embed_dim | f64 alpha (must equal prototypes.DEFAULT_ALPHA)
+    magic "CAPL" | u8 version (2)
     u32 n_classes, then per class: u32 id (< 255) | u8 role (0 base, 1 novel)
-                                   | u16 name_len | name utf-8 (class_name(id):
-                                   loaders check the UTF-8, then drop it)
-    u32 meta_len | meta JSON utf-8
+    u32 meta_len | meta JSON utf-8 holding variant, converged_gamma, amp_gamma
     u32 n_tensors, then per tensor: u16 name_len | name utf-8 | u8 dtype
                                     (0 = f64, 1 = f32) | u8 ndim | u32 dims...
                                     | raw little-endian payload
     u32 crc32 of every preceding byte
+
+The width is the classifier rows' width and the cosine scale is always
+``prototypes.DEFAULT_ALPHA``, so neither is stored. No other version is read.
 
 Tensors are stored as 64-bit reals by default; ``store_f32`` halves the file
 at the cost of rounding every value to 32-bit precision on save.
@@ -30,17 +30,17 @@ import numpy as np
 
 from .backbone import IN_CHANNELS, BackboneParams
 from .errors import FormatError, IoError, ProtosegError, RangeError
-from .model import DEFAULT_AMP_GAMMA, EvalModel, from_train_state
+from .model import EvalModel, from_train_state
 from .netpbm import atomic_write
 from .prototypes import (
-    DEFAULT_ALPHA, ROLE_BASE, ROLE_NOVEL, GammaNet, check_gamma, class_name, make_classifier,
-    named_parameters, parameters_from_named,
+    ROLE_BASE, ROLE_NOVEL, GammaNet, check_gamma, make_classifier, named_parameters,
+    parameters_from_named,
 )
 from .tensor import IGNORE_LABEL, Tensor
 from .training import VARIANT_KINDS, TrainConfig, TrainState, make_variant
 
 MAGIC = b"CAPL"
-VERSION = 1
+VERSION = 2
 _ROLE_CODE = {ROLE_BASE: 0, ROLE_NOVEL: 1}
 _CODE_ROLE = {v: k for k, v in _ROLE_CODE.items()}
 
@@ -52,17 +52,10 @@ def save_checkpoint(
     extra_tensors: list[tuple[str, np.ndarray]] | None = None,
 ) -> None:
     buf = io.BytesIO()
-    buf.write(MAGIC)
-    buf.write(struct.pack("<BBH", VERSION, 1, 0))
-    buf.write(struct.pack("<I", model.classifier.embed_dim))
-    buf.write(struct.pack("<d", DEFAULT_ALPHA))
-
     clf = model.classifier
-    buf.write(struct.pack("<I", clf.num_classes))
+    buf.write(MAGIC + struct.pack("<BI", VERSION, clf.num_classes))
     for cid in clf.class_ids:
-        name = class_name(cid).encode()
-        buf.write(struct.pack("<IBH", cid, _ROLE_CODE[clf.roles[cid]], len(name)))
-        buf.write(name)
+        buf.write(struct.pack("<IB", cid, _ROLE_CODE[clf.roles[cid]]))
 
     meta = {
         "variant": model.variant_kind,
@@ -131,27 +124,20 @@ def _read_all(path: str) -> dict:
     r = _Reader(body, path)
     if r.take(4) != MAGIC:
         raise FormatError(f"{path}: bad magic")
-    version, endian, _ = r.unpack("<BBH")
+    (version,) = r.unpack("<B")
     if version != VERSION:
         raise FormatError(f"{path}: unsupported version {version}")
-    if endian != 1:
-        raise FormatError(f"{path}: unsupported byte order flag {endian}")
-    (embed_dim,) = r.unpack("<I")
-    (alpha,) = r.unpack("<d")
-    if alpha != DEFAULT_ALPHA:  # NaN included
-        raise FormatError(f"{path}: cosine scale {alpha} is not the {DEFAULT_ALPHA} applied")
 
     (n_classes,) = r.unpack("<I")
     class_ids, roles = [], {}
     for _ in range(n_classes):
-        cid, role_code, name_len = r.unpack("<IBH")
+        cid, role_code = r.unpack("<IB")
         if cid >= IGNORE_LABEL:
             raise FormatError(f"{path}: class id {cid} outside [0, {IGNORE_LABEL - 1}]")
         if role_code not in _CODE_ROLE:
             raise FormatError(f"{path}: unknown role code {role_code}")
         class_ids.append(cid)
         roles[cid] = _CODE_ROLE[role_code]
-        r.text(name_len)
 
     (meta_len,) = r.unpack("<I")
     try:
@@ -185,7 +171,6 @@ def _read_all(path: str) -> dict:
 
     return {
         "path": path,
-        "embed_dim": embed_dim,
         "class_ids": class_ids,
         "roles": roles,
         "meta": meta,
@@ -195,15 +180,18 @@ def _read_all(path: str) -> dict:
 
 def _params_from(doc: dict, trainable: bool) -> tuple[BackboneParams, Tensor, GammaNet | None]:
     """The backbone, classifier weights and gate stored in a parsed checkpoint,
-    checked to fit together: a chain of square odd kernels from the image's
-    channels to ``embed_dim``, and a classifier and gate of that width."""
-    path, c = doc["path"], doc["embed_dim"]
+    checked to fit together: one classifier row per class, a chain of square
+    odd kernels from the image's channels to the rows' width, and a gate of
+    that width."""
+    path = doc["path"]
     named = {n: Tensor(arr, requires_grad=trainable) for n, arr in doc["tensors"].items()}
     try:
         backbone, weights, gammanet = parameters_from_named(named)
     except KeyError as exc:
         raise FormatError(f"{path}: missing tensor {exc}") from exc
-    cin = IN_CHANNELS
+    if weights.data.ndim != 2 or weights.shape[0] != len(doc["class_ids"]):
+        raise FormatError(f"{path}: classifier rows disagree with class table")
+    c, cin = weights.shape[1], IN_CHANNELS
     for i, (kernel, bias) in enumerate(backbone.layers):
         k = kernel.shape[0] if kernel.shape else 0
         if kernel.shape != (k, k, cin, c) or k % 2 == 0 or bias.shape != (c,):
@@ -212,10 +200,6 @@ def _params_from(doc: dict, trainable: bool) -> tuple[BackboneParams, Tensor, Ga
                 f"expected an odd square kernel from {cin} to {c} channels"
             )
         cin = c
-    if weights.data.ndim != 2 or weights.shape[0] != len(doc["class_ids"]):
-        raise FormatError(f"{path}: classifier rows disagree with class table")
-    if weights.shape[1] != c:
-        raise FormatError(f"{path}: classifier width {weights.shape[1]} != embed_dim {c}")
     gate_shapes = [(2 * c, c), (c,), (c, 1), (1,)]
     if gammanet is not None and [t.shape for _, t in gammanet.tensors()] != gate_shapes:
         raise FormatError(f"{path}: gate tensors do not have the shapes {gate_shapes}")
@@ -238,16 +222,17 @@ def load_checkpoint(path: str) -> EvalModel:
     except ProtosegError as exc:
         raise FormatError(f"{path}: bad class table: {exc}") from exc
 
-    variant = meta.get("variant", "baseline")
-    converged = meta.get("converged_gamma")
-    amp = meta.get("amp_gamma", DEFAULT_AMP_GAMMA)
+    known = ("variant", "converged_gamma", "amp_gamma")
+    try:
+        variant, converged, amp = (meta[k] for k in known)
+    except KeyError as exc:
+        raise FormatError(f"{path}: meta block has no {exc}") from exc
     if variant not in VARIANT_KINDS:
         raise FormatError(f"{path}: unknown variant {variant!r}")
     if converged is not None:
         _check_meta_gamma(path, "converged_gamma", converged)
     _check_meta_gamma(path, "amp_gamma", amp)
 
-    known = {"variant", "converged_gamma", "amp_gamma"}
     return EvalModel(
         backbone=backbone,
         classifier=classifier,
@@ -309,12 +294,17 @@ def load_train_state(path: str):
             raise FormatError(f"{path}: training state needs {kind.__name__} {key!r}")
     try:
         config = TrainConfig(**saved["config"])
-        variant = make_variant(meta.get("variant", "baseline"))
+        variant = make_variant(meta["variant"])
         rng_batches = _generator(saved["rng_batches"])
         rng_steps = _generator(saved["rng_steps"])
-        gamma_steps = [float(g) for g in saved["gamma_steps"]]
+        for g in saved["gamma_steps"]:
+            check_gamma(g)  # each entry is a step's mean gate value
     except (ProtosegError, TypeError, ValueError, KeyError, OverflowError) as exc:
         raise FormatError(f"{path}: bad training state: {exc}") from exc
+    if not 0 <= saved["step"] <= config.steps:
+        raise FormatError(f"{path}: training state step {saved['step']} outside [0, {config.steps}]")
+    if len(saved["gamma_steps"]) > saved["step"]:
+        raise FormatError(f"{path}: training state has more gate means than steps")
     backbone, weights, gammanet = _params_from(doc, trainable=True)
     if ROLE_NOVEL in doc["roles"].values():
         raise FormatError(f"{path}: a registered checkpoint cannot resume training")
@@ -334,5 +324,5 @@ def load_train_state(path: str):
         rng_steps=rng_steps,
         step=saved["step"],
         velocities=velocities,
-        gamma_steps=gamma_steps,
+        gamma_steps=[float(g) for g in saved["gamma_steps"]],
     )

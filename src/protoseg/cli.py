@@ -49,32 +49,33 @@ DEFAULT_SEEDS = (123, 321, 456, 654, 999)
 DEFAULT_FS_EPISODES = 500
 DEFAULT_TRIALS = 5
 SEEDS = ",".join(map(str, DEFAULT_SEEDS))
+# one config file may serve synth, train and ablate, so train and ablate
+# accept its scene section and check it as synth does
+_TRAIN_SECTIONS = {"scene": SceneConfig, "train": TrainConfig}
 
 
-def _load_config(path: str | None) -> dict:
-    return {} if path is None else read_json(path)
-
-
-def _section(doc: dict, name: str, cls):
-    """Build a config dataclass from a JSON section, rejecting unknown keys."""
-    raw = doc.get(name, {})
-    if not isinstance(raw, dict):
-        raise ConfigError(f"config section {name!r} must be an object")
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    unknown = set(raw) - set(fields) - {"_comment"}
-    if unknown:
-        raise ConfigError(f"unknown keys in config section {name!r}: {sorted(unknown)}")
-    kwargs = {k: v for k, v in raw.items() if k != "_comment"}
-    try:
-        return cls(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(f"bad value in config section {name!r}: {exc}") from exc
-
-
-def _known_sections(doc: dict, allowed: set[str]) -> None:
-    unknown = set(doc) - allowed - {"_comment"}
+def _load_config(path: str | None, sections: dict[str, type]) -> dict:
+    """Every section a command accepts, built into its config dataclass from
+    the JSON file at ``path`` (all defaults without one). An unknown section
+    or key, or a bad value, is a ``ConfigError``."""
+    doc = {} if path is None else read_json(path)
+    unknown = set(doc) - set(sections) - {"_comment"}
     if unknown:
         raise ConfigError(f"unknown config sections: {sorted(unknown)}")
+    built = {}
+    for name, cls in sections.items():
+        raw = doc.get(name, {})
+        if not isinstance(raw, dict):
+            raise ConfigError(f"config section {name!r} must be an object")
+        kwargs = {k: v for k, v in raw.items() if k != "_comment"}
+        unknown = set(kwargs) - {f.name for f in dataclasses.fields(cls)}
+        if unknown:
+            raise ConfigError(f"unknown keys in config section {name!r}: {sorted(unknown)}")
+        try:
+            built[name] = cls(**kwargs)
+        except TypeError as exc:
+            raise ConfigError(f"bad value in config section {name!r}: {exc}") from exc
+    return built
 
 
 def _int_list(raw: str, flag: str, least: int) -> tuple[int, ...]:
@@ -95,9 +96,7 @@ def _int_list(raw: str, flag: str, least: int) -> tuple[int, ...]:
 
 
 def cmd_synth(args) -> int:
-    doc = _load_config(args.config)
-    _known_sections(doc, {"scene"})
-    scene = _section(doc, "scene", SceneConfig)
+    scene = _load_config(args.config, {"scene": SceneConfig})["scene"]
     for split in range(NUM_SPLITS):
         out = os.path.join(args.out, f"split{split}")
         build_dataset(scene, split, out)
@@ -121,9 +120,7 @@ def cmd_train(args) -> int:
         if args.stop_after is not None and args.stop_after < state.step:
             raise ConfigError("--stop-after is before the resumed step")
     else:
-        doc = _load_config(args.config)
-        _known_sections(doc, {"scene", "train"})
-        config = _section(doc, "train", TrainConfig)
+        config = _load_config(args.config, _TRAIN_SECTIONS)["train"]
     data = load_train_data(load_manifest(args.data))
     if not args.resume:
         state = init_state(config, data, make_variant(args.variant or "capl"))
@@ -213,9 +210,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    doc = _load_config(args.config)
-    _known_sections(doc, {"scene", "train"})
-    config = _section(doc, "train", TrainConfig)
+    config = _load_config(args.config, _TRAIN_SECTIONS)["train"]
     shots_list = _int_list(args.shots_list, "--shots-list", 1)
     seeds = _int_list(args.seeds, "--seeds", 0)
     variants = [v.strip() for v in args.variants.split(",") if v.strip()]

@@ -217,8 +217,10 @@ def run_fs_protocol(
 
 
 def config_digest(config: TrainConfig, manifest: DatasetManifest) -> str:
+    """The ablate cache key: checkpoint format version, train config, dataset."""
     doc = json.dumps(
-        {"config": asdict(config), "split": manifest.split_index, "seed": manifest.seed},
+        {"config": asdict(config), "split": manifest.split_index, "seed": manifest.seed,
+         "format": ckpt.VERSION},
         sort_keys=True,
     )
     return hashlib.sha256(doc.encode()).hexdigest()[:16]

@@ -69,10 +69,6 @@ class Classifier:
             raise ShapeError("one weight row per class id required")
 
     @property
-    def embed_dim(self) -> int:
-        return self.weights.shape[1]
-
-    @property
     def num_classes(self) -> int:
         return len(self.class_ids)
 

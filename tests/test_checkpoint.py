@@ -1,5 +1,7 @@
 """Checkpoint format: round trips, CRC integrity, precision options."""
 
+import json
+import math
 import struct
 import zlib
 
@@ -12,7 +14,7 @@ from protoseg.cli import main
 from protoseg.errors import FormatError, IoError
 from protoseg.model import EvalModel
 from protoseg.netpbm import write_ppm
-from protoseg.prototypes import class_name, init_gamma_net, make_classifier, named_parameters
+from protoseg.prototypes import init_gamma_net, make_classifier, named_parameters
 from protoseg.tensor import Tensor
 
 
@@ -48,8 +50,42 @@ def test_round_trip_is_lossless(tmp_path):
     assert np.array_equal(back.gammanet.w1.data, model.gammanet.w1.data)
     assert back.variant_kind == "capl"
     assert back.converged_gamma == 0.7
-    assert class_name(5).encode() in open(path, "rb").read()
     assert back.meta["seed"] == 7
+
+    # a walk written from the v2 layout alone: header, 5-byte class rows,
+    # meta, tensor records and CRC, with every byte of the file consumed
+    blob = open(path, "rb").read()
+    assert blob[:4] == b"CAPL"
+    pos = 4
+
+    def take(fmt):
+        nonlocal pos
+        out = struct.unpack_from(fmt, blob, pos)
+        pos += struct.calcsize(fmt)
+        return out
+
+    assert take("<B") == (2,)
+    (n_classes,) = take("<I")
+    assert [take("<IB") for _ in range(n_classes)] == [(0, 0), (2, 0), (5, 1)]
+    (meta_len,) = take("<I")
+    meta = json.loads(take(f"<{meta_len}s")[0].decode())
+    assert meta == {"variant": "capl", "converged_gamma": 0.7, "amp_gamma": 0.5, "seed": 7, "steps": 11}
+    (n_tensors,) = take("<I")
+    tensors = {}
+    for _ in range(n_tensors):
+        (name_len,) = take("<H")
+        (name,) = take(f"<{name_len}s")
+        dtype_code, ndim = take("<BB")
+        assert dtype_code == 0
+        dims = take(f"<{ndim}I")
+        (payload,) = take(f"<{8 * math.prod(dims)}s")
+        tensors[name.decode()] = np.frombuffer(payload, dtype="<f8").reshape(dims)
+    crc_end = pos
+    assert take("<I") == (zlib.crc32(blob[:crc_end]) & 0xFFFFFFFF,)
+    assert pos == len(blob)
+    named = _named(model)
+    assert list(tensors) == [n for n, _ in named]
+    assert all(np.array_equal(tensors[n], t.data) for n, t in named)
 
 
 def test_baseline_checkpoint_has_no_gamma_tensors(tmp_path):
@@ -120,16 +156,6 @@ def test_save_onto_directory_raises_io_error_and_leaves_no_temp_file(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["target"]
 
 
-def test_non_utf8_class_name_is_format_error(tmp_path):
-    path = str(tmp_path / "m.ckpt")
-    save_checkpoint(path, _model())
-    body = bytearray(open(path, "rb").read()[:-4])
-    body[body.index(b"class2")] = 0xFF
-    open(path, "wb").write(_with_crc(bytes(body)))
-    with pytest.raises(FormatError, match="UTF-8"):
-        load_checkpoint(path)
-
-
 def test_empty_tensor_with_an_oversized_shape_is_format_error(tmp_path):
     # a zero dim leaves no payload, but numpy cannot hold the shape at all
     path = str(tmp_path / "m.ckpt")
@@ -170,6 +196,22 @@ def _save_with_train_state(path: str, saved, role_of_5="base", momentum=None) ->
     save_checkpoint(path, model, extra_tensors=momentum)
 
 
+def _delete_meta_key(path: str, key: str) -> None:
+    """Drop one key from a checkpoint's meta block and reseal the CRC."""
+    blob = open(path, "rb").read()
+    (n_classes,) = struct.unpack_from("<I", blob, 5)
+    start = 9 + 5 * n_classes
+    (meta_len,) = struct.unpack_from("<I", blob, start)
+    meta = json.loads(blob[start + 4 : start + 4 + meta_len].decode())
+    del meta[key]
+    meta_bytes = json.dumps(meta, sort_keys=True).encode()
+    rest = blob[start + 4 + meta_len : -4]
+    open(path, "wb").write(_with_crc(blob[:start] + struct.pack("<I", len(meta_bytes)) + meta_bytes + rest))
+
+
+DELETED = object()
+
+
 @pytest.mark.parametrize(
     "key, value",
     [
@@ -177,13 +219,20 @@ def _save_with_train_state(path: str, saved, role_of_5="base", momentum=None) ->
         ("converged_gamma", "0.5"),
         ("converged_gamma", 7.0),
         ("amp_gamma", None),
+        pytest.param("variant", DELETED, id="variant-deleted"),
+        pytest.param("converged_gamma", DELETED, id="converged_gamma-deleted"),
+        pytest.param("amp_gamma", DELETED, id="amp_gamma-deleted"),
     ],
 )
 def test_bad_variant_meta_is_format_error(tmp_path, key, value):
     model = _model()
-    model.meta[key] = value  # written after, so in place of, the model's own field
     path = str(tmp_path / "m.ckpt")
-    save_checkpoint(path, model)
+    if value is DELETED:
+        save_checkpoint(path, model)
+        _delete_meta_key(path, key)
+    else:
+        model.meta[key] = value  # written after, so in place of, the model's own field
+        save_checkpoint(path, model)
     with pytest.raises(FormatError, match=key):
         load_checkpoint(path)
 
@@ -228,6 +277,11 @@ def test_train_state_meta_round_trips(tmp_path):
         ("rng_batches", {"bit_generator": "PCG64"}),
         ("rng_steps", {"bit_generator": "MT19937x", "state": {}}),
         ("gamma_steps", ["half"]),
+        ("step", -3),
+        ("gamma_steps", [0.5, True]),
+        ("gamma_steps", [0.5, float("nan")]),
+        ("gamma_steps", [float("inf")]),
+        ("gamma_steps", [0.5] * 4),  # one gate mean per step at most, and step is 3
     ],
 )
 def test_train_state_schema_violations_are_format_errors(tmp_path, key, value):
@@ -259,6 +313,9 @@ def test_train_state_schema_violations_are_format_errors(tmp_path, key, value):
         ),
         # a snapshot from when the SGD recipe was part of the train config
         pytest.param(3, "base", None, {"momentum": 0.9}, id="config_with_momentum"),
+        # no buffers, as at step 0, so only the sign of the step can reject it
+        pytest.param(-3, "base", [], {}, id="negative_step"),
+        pytest.param(3, "base", None, {"steps": 2}, id="step_past_the_configured_steps"),
     ],
 )
 def test_train_state_that_cannot_resume_is_format_error(
@@ -269,6 +326,14 @@ def test_train_state_that_cannot_resume_is_format_error(
     path = str(tmp_path / "s.ckpt")
     _save_with_train_state(path, saved, role_of_5, momentum)
     with pytest.raises(FormatError):
+        load_train_state(path)
+
+
+def test_train_state_without_a_variant_is_format_error(tmp_path):
+    path = str(tmp_path / "s.ckpt")
+    _save_with_train_state(path, _train_state_meta())
+    _delete_meta_key(path, "variant")
+    with pytest.raises(FormatError, match="variant"):
         load_train_state(path)
 
 

@@ -14,10 +14,11 @@ import numpy as np
 import pytest
 
 from protoseg import errors, gradcheck
-from protoseg.checkpoint import load_checkpoint, save_checkpoint
+from protoseg.checkpoint import load_checkpoint, load_train_state, save_checkpoint
 from protoseg.cli import main
 from protoseg.errors import ConfigError, FormatError, ProtosegError
 from protoseg.netpbm import read_pgm
+from protoseg.prototypes import DEFAULT_ALPHA, class_name
 from protoseg.scenes import load_manifest
 
 
@@ -63,6 +64,8 @@ def workspace(tmp_path_factory):
     bad_embed_cfg.write_text(json.dumps({"train": {"embed_dim": 1}}))
     bad_layers_cfg = root / "bad_layers.json"
     bad_layers_cfg.write_text(json.dumps({"train": {"backbone_layers": 0}}))
+    bad_scene_cfg = root / "bad_scene.json"
+    bad_scene_cfg.write_text(json.dumps({"scene": {"bogus": 1, "height": "x"}, **TRAIN_CFG}))
     data_dir = root / "data"
     assert main(["synth", "--config", str(scene_cfg), "--out", str(data_dir)]) == 0
     manifest = str(data_dir / "split0" / "manifest.json")
@@ -83,6 +86,7 @@ def workspace(tmp_path_factory):
         "bad_lr_cfg": str(bad_lr_cfg),
         "bad_embed_cfg": str(bad_embed_cfg),
         "bad_layers_cfg": str(bad_layers_cfg),
+        "bad_scene_cfg": str(bad_scene_cfg),
         "data_dir": str(data_dir),
         "manifest": manifest,
         "ckpt": ckpt,
@@ -378,21 +382,41 @@ def test_predict_missing_model_exits_3(workspace, tmp_path):
     assert code == 3
 
 
-@pytest.mark.parametrize("scale", [float("nan"), float("inf"), 20.0])
-def test_checkpoint_with_another_cosine_scale_exits_3(workspace, tmp_path, scale):
-    # the f64 after magic, version/endian/reserved and embed_dim is the scale;
-    # the CRC is resealed, so only the scale check can reject the file
-    body = bytearray(open(workspace["ckpt"], "rb").read()[:-4])
-    body[12:20] = struct.pack("<d", scale)
-    bad = str(tmp_path / "scaled.ckpt")
-    open(bad, "wb").write(bytes(body) + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
-    with pytest.raises(FormatError, match="cosine scale"):
-        load_checkpoint(bad)
-    manifest = load_manifest(workspace["manifest"])
-    image = os.path.join(os.path.dirname(workspace["manifest"]), manifest.test[0].image)
-    mask_out = str(tmp_path / "pred.pgm")
-    assert main(["predict", "--model", bad, "--image", image, "--out", mask_out]) == 3
-    assert not os.path.exists(mask_out)
+def _as_v1(blob: bytes) -> bytes:
+    """A v2 checkpoint rewritten by hand in the retired v1 layout, CRC
+    resealed: a byte order flag, a reserved u16, embed_dim and the cosine
+    scale after the version, and each class row followed by its name."""
+    (n_classes,) = struct.unpack_from("<I", blob, 5)
+    rows = b""
+    for i in range(n_classes):
+        cid, role = struct.unpack_from("<IB", blob, 9 + 5 * i)
+        name = class_name(cid).encode()
+        rows += struct.pack("<IBH", cid, role, len(name)) + name
+    embed_dim = TRAIN_CFG["train"]["embed_dim"]
+    header = b"CAPL" + struct.pack("<BBHIdI", 1, 1, 0, embed_dim, DEFAULT_ALPHA, n_classes)
+    body = header + rows + blob[9 + 5 * n_classes : -4]
+    return body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
+
+
+@pytest.mark.parametrize("command", ["predict", "register", "eval", "train"])
+def test_v1_checkpoint_exits_3_and_writes_nothing(workspace, tmp_path, capsys, command):
+    # v1 is never read: a v1 file is rejected by its version alone
+    old = str(tmp_path / "v1.ckpt")
+    open(old, "wb").write(_as_v1(open(workspace["ckpt"], "rb").read()))
+    for loader in (load_checkpoint, load_train_state):
+        with pytest.raises(FormatError, match="unsupported version 1"):
+            loader(old)
+    manifest, out = workspace["manifest"], str(tmp_path / "out")
+    image = os.path.join(os.path.dirname(manifest), load_manifest(manifest).test[0].image)
+    args = {
+        "predict": ["predict", "--model", old, "--image", image, "--out", out],
+        "register": ["register", "--model", old, "--data", manifest, "--shots", "1", "--out", out],
+        "eval": ["eval", "--model", old, "--data", manifest, "--report", out],
+        "train": ["train", "--resume", old, "--data", manifest, "--out", out],
+    }[command]
+    assert main(args) == 3
+    assert "unsupported version 1" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["v1.ckpt"]
 
 
 def test_eval_gfs_report(workspace, tmp_path):
@@ -519,6 +543,8 @@ def test_ablate_cache_under_a_file_exits_3(workspace, tmp_path):
         pytest.param("train", ("--config", "bad_layers_cfg"), id="train-config-layers-zero"),
         pytest.param("ablate", ("--config", "bad_embed_cfg"), id="ablate-config-embed-dim-one"),
         pytest.param("ablate", ("--config", "bad_layers_cfg"), id="ablate-config-layers-zero"),
+        pytest.param("train", ("--config", "bad_scene_cfg"), id="train-config-bad-scene"),
+        pytest.param("ablate", ("--config", "bad_scene_cfg"), id="ablate-config-bad-scene"),
     ],
 )
 def test_bad_list_or_shot_flag_exits_2_and_writes_nothing(workspace, tmp_path, command, flags):

@@ -42,7 +42,7 @@ def test_one_inference_scoring_path():
 
 
 def test_one_class_naming_rule():
-    # manifests and checkpoint class tables both name classes by class_name
+    # manifests name classes by class_name; checkpoints store no class names
     assert _source().count('f"class{') == 1
 
 

@@ -7,11 +7,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from protoseg import protocols
+from protoseg import checkpoint, protocols
 from protoseg import tensor as T
 from protoseg.errors import ConfigError, DataError, EmptyMaskError, IoError
 from protoseg.model import from_train_state
 from protoseg.protocols import (
+    config_digest,
     model_for_variant,
     register_for_variant,
     report_to_json,
@@ -335,6 +336,15 @@ def test_ablation_cache_reuse_is_identical(world, tmp_path):
     second = run_ablation(manifest, [1], ["capl"], seeds=(123,), config=TRAIN, cache_dir=cache)
     assert first == second
     assert any(name.startswith("capl_split0") for name in os.listdir(cache))
+
+
+def test_ablation_cache_key_changes_with_the_checkpoint_format(world, monkeypatch):
+    # a cache filled by another format version is not found, so each scheme
+    # retrains once rather than failing to read the old files
+    manifest, _ = world
+    current = config_digest(TRAIN, manifest)
+    monkeypatch.setattr(checkpoint, "VERSION", 1)
+    assert config_digest(TRAIN, manifest) != current
 
 
 def test_variant_wiring_for_fixed_gamma(world, tmp_path):

@@ -48,16 +48,14 @@ from .training import (
 DEFAULT_SEEDS = (123, 321, 456, 654, 999)
 DEFAULT_FS_EPISODES = 500
 DEFAULT_TRIALS = 5
-SEEDS = ",".join(map(str, DEFAULT_SEEDS))
-# one config file may serve synth, train and ablate, so train and ablate
-# accept its scene section and check it as synth does
-_TRAIN_SECTIONS = {"scene": SceneConfig, "train": TrainConfig}
 
 
-def _load_config(path: str | None, sections: dict[str, type]) -> dict:
-    """Every section a command accepts, built into its config dataclass from
-    the JSON file at ``path`` (all defaults without one). An unknown section
-    or key, or a bad value, is a ``ConfigError``."""
+def _load_config(path: str | None) -> dict:
+    """The ``scene`` and ``train`` sections, each built into its config
+    dataclass from the JSON file at ``path`` (all defaults without one), so
+    one file serves every command. An unknown section or key, or a bad value
+    in either section, is a ``ConfigError``."""
+    sections = {"scene": SceneConfig, "train": TrainConfig}
     doc = {} if path is None else read_json(path)
     unknown = set(doc) - set(sections) - {"_comment"}
     if unknown:
@@ -78,16 +76,41 @@ def _load_config(path: str | None, sections: dict[str, type]) -> dict:
     return built
 
 
-def _int_list(raw: str, flag: str, least: int) -> tuple[int, ...]:
-    """The integers of a comma-separated flag; a ``ConfigError`` for a
-    non-integer, an empty list or a value below ``least``."""
+def _ints(flag: str, least: int, many: bool):
+    """An argparse ``type=`` for an integer flag, or for a comma-separated
+    list of integers if ``many``: a non-integer, an empty list or a value
+    below ``least`` is a ``ConfigError``, which ``main`` turns into exit 2."""
+
+    def parse(raw: str):
+        items = raw.replace(" ", "").split(",") if many else [raw]
+        try:
+            values = tuple(int(s) for s in items if s)
+        except ValueError:
+            values = ()
+        if not values or min(values) < least:
+            wanted = "one or more integers" if many else "an integer"
+            raise ConfigError(f"{flag} needs {wanted} >= {least}, got {raw!r}")
+        return values if many else values[0]
+
+    return parse
+
+
+def _gamma(raw: str) -> float:
+    """The ``type=`` of ``--gamma``: a number that ``check_gamma`` accepts."""
     try:
-        values = tuple(int(s) for s in raw.replace(" ", "").split(",") if s)
+        gamma = float(raw)
     except ValueError as exc:
-        raise ConfigError(f"bad {flag} list {raw!r}") from exc
-    if not values or min(values) < least:
-        raise ConfigError(f"{flag} needs one or more integers >= {least}, got {raw!r}")
-    return values
+        raise ConfigError(f"--gamma needs a number, got {raw!r}") from exc
+    check_gamma(gamma)
+    return gamma
+
+
+def _variants(raw: str) -> tuple[str, ...]:
+    """The ``type=`` of ``--variants``: kinds that ``make_variant`` knows."""
+    kinds = tuple(make_variant(v.strip()).kind for v in raw.split(",") if v.strip())
+    if not kinds:
+        raise ConfigError(f"--variants names no variant: {raw!r}")
+    return kinds
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +119,7 @@ def _int_list(raw: str, flag: str, least: int) -> tuple[int, ...]:
 
 
 def cmd_synth(args) -> int:
-    scene = _load_config(args.config, {"scene": SceneConfig})["scene"]
+    scene = _load_config(args.config)["scene"]
     for split in range(NUM_SPLITS):
         out = os.path.join(args.out, f"split{split}")
         build_dataset(scene, split, out)
@@ -107,8 +130,6 @@ def cmd_synth(args) -> int:
 def cmd_train(args) -> int:
     if args.resume and args.config:
         raise ConfigError("--resume continues the snapshot's own config; drop --config")
-    if args.stop_after is not None and args.stop_after < 0:
-        raise ConfigError(f"--stop-after needs an integer >= 0, got {args.stop_after}")
     # the snapshot, or the config, is read and checked before the dataset
     if args.resume:
         state = load_train_state(args.resume)
@@ -120,7 +141,7 @@ def cmd_train(args) -> int:
         if args.stop_after is not None and args.stop_after < state.step:
             raise ConfigError("--stop-after is before the resumed step")
     else:
-        config = _load_config(args.config, _TRAIN_SECTIONS)["train"]
+        config = _load_config(args.config)["train"]
     data = load_train_data(load_manifest(args.data))
     if not args.resume:
         state = init_state(config, data, make_variant(args.variant or "capl"))
@@ -132,13 +153,6 @@ def cmd_train(args) -> int:
 
 
 def cmd_register(args) -> int:
-    # every flag is checked before the checkpoint or manifest is read
-    if args.shots < 1:
-        raise ConfigError(f"--shots needs an integer >= 1, got {args.shots}")
-    if args.seed < 0:
-        raise ConfigError(f"--seed needs an integer >= 0, got {args.seed}")
-    if args.gamma is not None:
-        check_gamma(args.gamma)
     model = load_checkpoint(args.model)
     if args.gamma is not None:
         model = with_fixed_gamma(model, args.gamma)
@@ -168,20 +182,9 @@ def cmd_predict(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    if args.seeds is None:
-        seeds = DEFAULT_SEEDS if args.protocol == "gfs" else DEFAULT_SEEDS[:1]
-    else:
-        seeds = _int_list(args.seeds, "--seeds", 0)
-        if args.protocol == "fs" and len(seeds) > 1:
-            raise ConfigError(f"the fs protocol takes one seed, got --seeds {args.seeds!r}")
-    if args.shots is not None and args.shots < 1:
-        raise ConfigError("--shots must be >= 1; omit it for a base-only gfs pass")
-    if args.protocol == "fs" and args.shots is None:
-        raise ConfigError("the fs protocol requires --shots")
-    if args.protocol == "fs" and args.episodes < 1:
-        raise ConfigError(f"--episodes needs an integer >= 1, got {args.episodes}")
-    if args.gamma is not None:
-        check_gamma(args.gamma)
+    seeds = args.seeds or (DEFAULT_SEEDS if args.protocol == "gfs" else DEFAULT_SEEDS[:1])
+    if args.protocol == "fs" and (args.shots is None or len(seeds) > 1):
+        raise ConfigError(f"fs needs --shots and one seed, got --shots {args.shots}, seeds {seeds}")
     model = load_checkpoint(args.model)
     if args.gamma is not None:
         model = with_fixed_gamma(model, args.gamma)
@@ -210,16 +213,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    config = _load_config(args.config, _TRAIN_SECTIONS)["train"]
-    shots_list = _int_list(args.shots_list, "--shots-list", 1)
-    seeds = _int_list(args.seeds, "--seeds", 0)
-    variants = [v.strip() for v in args.variants.split(",") if v.strip()]
-    if not variants:
-        raise ConfigError(f"--variants names no variant: {args.variants!r}")
-    for v in variants:
-        make_variant(v)  # validate early
+    config = _load_config(args.config)["train"]
     manifest = load_manifest(args.data)
-    rows = run_ablation(manifest, shots_list, variants, seeds, config, args.cache)
+    rows = run_ablation(manifest, args.shots_list, args.variants, args.seeds, config, args.cache)
     write_ablation_csv(rows, args.out)
     print(args.out)
     return 0
@@ -251,27 +247,28 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate the 4-fold ContextShapes dataset")
-    p.add_argument("--config", help="JSON config with a 'scene' section")
+    p.add_argument("--config", help="JSON config with 'scene' and 'train' sections")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(fn=cmd_synth)
 
     p = sub.add_parser("train", help="train base classes for one split")
-    p.add_argument("--config", help="JSON config with a 'train' section")
+    p.add_argument("--config", help="JSON config with 'scene' and 'train' sections")
     p.add_argument("--data", required=True, help="manifest.json of the split")
     p.add_argument("--variant", choices=VARIANT_KINDS, help="default: capl")
     p.add_argument("--out", required=True, help="checkpoint path")
     p.add_argument("--curve", help="loss curve CSV (default: <out>.curve.csv)")
     p.add_argument("--resume", help="continue from a training snapshot")
-    p.add_argument("--stop-after", type=int, help="halt after this many total steps")
+    p.add_argument("--stop-after", type=_ints("--stop-after", 0, False),
+                   help="halt after this many total steps")
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("register", help="imprint novel classes from K supports")
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--shots", type=int, required=True)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEEDS[0])
+    p.add_argument("--shots", type=_ints("--shots", 1, False), required=True)
+    p.add_argument("--seed", type=_ints("--seed", 0, False), default=DEFAULT_SEEDS[0])
     p.add_argument("--out", required=True)
-    p.add_argument("--gamma", type=float, help="fixed gate of capl_te, convg_gamma or amp_gamma")
+    p.add_argument("--gamma", type=_gamma, help="fixed gate of capl_te, convg_gamma or amp_gamma")
     p.set_defaults(fn=cmd_register)
 
     p = sub.add_parser("predict", help="segment one PPM image")
@@ -285,36 +282,37 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--protocol", choices=("gfs", "fs"), default="gfs")
-    p.add_argument("--shots", type=int, help="omit for a base-only gfs pass")
+    p.add_argument("--shots", type=_ints("--shots", 1, False), help="omit for a base-only gfs pass")
     p.add_argument(
         "--seeds",
-        help=f"comma-separated support-sampling seeds (default: {SEEDS} for gfs; "
-        f"fs takes one, default {DEFAULT_SEEDS[0]})",
+        type=_ints("--seeds", 0, True),
+        help="comma-separated support-sampling seeds (default: "
+        f"{','.join(map(str, DEFAULT_SEEDS))} for gfs; fs takes one, default {DEFAULT_SEEDS[0]})",
     )
-    p.add_argument("--episodes", type=int, default=DEFAULT_FS_EPISODES)
-    p.add_argument("--gamma", type=float, help="fixed gate of capl_te, convg_gamma or amp_gamma")
+    p.add_argument("--episodes", type=_ints("--episodes", 1, False), default=DEFAULT_FS_EPISODES)
+    p.add_argument("--gamma", type=_gamma, help="fixed gate of capl_te, convg_gamma or amp_gamma")
     p.add_argument("--report", required=True, help="output report.json")
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("ablate", help="train and evaluate a variant grid")
-    p.add_argument("--config", help="JSON config with a 'train' section")
+    p.add_argument("--config", help="JSON config with 'scene' and 'train' sections")
     p.add_argument("--data", required=True)
-    p.add_argument("--variants", default=",".join(VARIANT_KINDS))
-    p.add_argument("--shots-list", default="1,5,10")
-    p.add_argument("--seeds", default=SEEDS)
+    p.add_argument("--variants", type=_variants, default=VARIANT_KINDS)
+    p.add_argument("--shots-list", type=_ints("--shots-list", 1, True), default=(1, 5, 10))
+    p.add_argument("--seeds", type=_ints("--seeds", 0, True), default=DEFAULT_SEEDS)
     p.add_argument("--cache", required=True, help="checkpoint cache: each scheme trains once")
     p.add_argument("--out", required=True, help="output CSV")
     p.set_defaults(fn=cmd_ablate)
 
     p = sub.add_parser("gradcheck", help="finite-difference audit of all ops")
-    p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
+    p.add_argument("--trials", type=_ints("--trials", 1, False), default=DEFAULT_TRIALS)
     p.set_defaults(fn=cmd_gradcheck)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         try:
             return args.fn(args)
         except MemoryError as exc:

@@ -403,6 +403,7 @@ def load_manifest(path: str) -> DatasetManifest:
         out = [PairEntry(e["image"], e["mask"], e.get("novel_id")) for e in items]
         for e in out:
             if not (isinstance(e.image, str) and isinstance(e.mask, str)
+                    and "\0" not in e.image + e.mask  # open() cannot take a NUL
                     and (e.novel_id is None or _is_int(e.novel_id))):
                 raise ValueError(f"bad scene entry {e}")
         return out

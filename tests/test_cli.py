@@ -127,6 +127,29 @@ def test_unknown_config_key_exits_2(tmp_path):
     assert main(["synth", "--config", str(bad), "--out", str(tmp_path / "x")]) == 2
 
 
+def test_one_config_file_serves_synth_train_and_ablate(workspace, tmp_path, capsys):
+    # every command that reads --config builds and checks both sections
+    both = tmp_path / "both.json"
+    both.write_text(json.dumps({**SCENE_CFG, **TRAIN_CFG}))
+    data = tmp_path / "data"
+    assert main(["synth", "--config", str(both), "--out", str(data)]) == 0
+    manifest = str(data / "split0" / "manifest.json")
+    assert sha(manifest) == sha(workspace["manifest"])
+    ckpt = str(tmp_path / "capl.ckpt")
+    assert main(["train", "--config", str(both), "--data", manifest, "--out", ckpt]) == 0
+    assert sha(ckpt) == sha(workspace["ckpt"])
+    assert main(["ablate", "--config", str(both), "--data", manifest, "--variants", "baseline",
+                 "--shots-list", "1", "--seeds", "123", "--cache", str(tmp_path / "cache"),
+                 "--out", str(tmp_path / "ab.csv")]) == 0
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**SCENE_CFG, "train": {**TRAIN_CFG["train"], "lr": -1.0}}))
+    capsys.readouterr()
+    out = tmp_path / "never"
+    assert main(["synth", "--config", str(bad), "--out", str(out)]) == 2
+    assert "learning rate" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["train", "ablate"])
 def test_protocol_config_section_exits_2(workspace, tmp_path, command, capsys):
     # no code reads a "protocol" section, so it is as unknown as any other
@@ -729,6 +752,7 @@ DROP = object()
         pytest.param(("classes",), {}, id="classes-an-object"),
         pytest.param(("splits", "test", 0, "image"), 5, id="test-image-not-a-string"),
         pytest.param(("splits", "test", 0, "mask"), None, id="test-mask-not-a-string"),
+        pytest.param(("splits", "test", 0, "image"), "a\u0000b.ppm", id="test-image-with-a-nul-byte"),
         pytest.param(("splits", "support_pool", 0, "novel_id"), "q", id="novel-id-not-an-integer"),
         pytest.param(("classes", 5, "id"), 3, id="class-id-duplicated"),
         pytest.param(("classes", 8, "id"), 300, id="class-id-above-an-8-bit-mask"),

@@ -154,6 +154,31 @@ def test_exit_codes_are_assigned_only_on_the_error_classes():
     assert assigners == {"errors.py"}
 
 
+def _is_number(node) -> bool:
+    try:
+        value = ast.literal_eval(node)
+    except ValueError:
+        return False
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def test_cli_commands_leave_simple_flag_bounds_to_the_parser():
+    # a flag's own bound is its argparse type=; a cmd_* compares a flag only
+    # with another input (the snapshot, the protocol, the seed count)
+    tree = ast.parse((SRC / "cli.py").read_text())
+    bounds = [
+        f"{fn.name}:{node.lineno} {ast.unparse(node)}"
+        for fn in tree.body
+        if isinstance(fn, ast.FunctionDef) and fn.name.startswith("cmd_")
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Compare)
+        and any(isinstance(o, ast.Attribute) and ast.unparse(o.value) == "args"
+                for o in [node.left, *node.comparators])
+        and any(_is_number(o) for o in [node.left, *node.comparators])
+    ]
+    assert bounds == []
+
+
 def test_train_config_has_only_the_fields_the_shipped_config_sets():
     # a training value that no config sets is a constant in training.py
     shipped = json.loads((ROOT / "configs" / "quick.json").read_text())["train"]

@@ -29,9 +29,9 @@ from dataclasses import asdict
 import numpy as np
 
 from .backbone import IN_CHANNELS, BackboneParams
-from .errors import FormatError, IoError, ProtosegError, RangeError
+from .errors import FormatError, ProtosegError, RangeError
 from .model import EvalModel, from_train_state
-from .netpbm import atomic_write
+from .netpbm import atomic_write, read_bytes
 from .prototypes import (
     ROLE_BASE, ROLE_NOVEL, GammaNet, check_gamma, make_classifier, named_parameters,
     parameters_from_named,
@@ -111,10 +111,7 @@ class _Reader:
 
 
 def _read_all(path: str) -> dict:
-    try:
-        blob = open(path, "rb").read()
-    except OSError as exc:
-        raise IoError(f"cannot read checkpoint {path}: {exc}") from exc
+    blob = read_bytes(path)
     if len(blob) < len(MAGIC) + 4:
         raise FormatError(f"{path}: file too small to be a checkpoint")
     body, crc_stored = blob[:-4], struct.unpack("<I", blob[-4:])[0]
@@ -240,7 +237,8 @@ def load_checkpoint(path: str) -> EvalModel:
         variant_kind=variant,
         converged_gamma=converged,
         amp_gamma=amp,
-        meta={k: v for k, v in meta.items() if k not in known},
+        # a training snapshot is for load_train_state alone
+        meta={k: v for k, v in meta.items() if k not in known + ("train_state",)},
     )
 
 

@@ -146,8 +146,9 @@ def cmd_train(args) -> int:
     if not args.resume:
         state = init_state(config, data, make_variant(args.variant or "capl"))
     run_training_loop(state, data, until=args.stop_after)
-    save_train_state(args.out, state)
+    # the side file goes first, so a failed write leaves no --out behind
     write_curve(state, args.curve or f"{args.out}.curve.csv")
+    save_train_state(args.out, state)
     print(args.out)
     return 0
 
@@ -173,10 +174,10 @@ def cmd_predict(args) -> int:
     image = Tensor(read_ppm(args.image))
     feats = extract_features(model.backbone, image)
     pred, logits = classify(model.classifier, feats)
-    write_pgm(args.out, pred)
-    if args.logits:
+    if args.logits:  # the side file first, so a failed write leaves no mask
         h, w, n = logits.shape
         atomic_write(args.logits, struct.pack("<III", h, w, n) + logits.astype("<f4").tobytes())
+    write_pgm(args.out, pred)
     print(args.out)
     return 0
 

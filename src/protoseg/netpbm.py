@@ -1,6 +1,6 @@
 """Binary PPM (P6) and PGM (P5) readers/writers, 8-bit only, and the file
-primitives the whole package shares: the atomic writer, the CSV writer,
-directory creation and the JSON document reader.
+primitives the whole package shares: the one reader, the atomic writer, the
+CSV writer, directory creation and the JSON document reader.
 
 Images map [0, 1] floats to bytes by round(v * 255) and back to float32 by
 /255, so a write-read round trip is lossless at 8-bit quantization; masks
@@ -21,23 +21,34 @@ from .errors import ConfigError, FormatError, IoError
 MAXVAL = 255
 
 
+def read_bytes(path: str) -> bytes:
+    """The whole content of ``path``. Every file the package reads comes
+    through here: an ``OSError``, or the ``ValueError`` that ``open`` raises
+    for a path holding a NUL byte, becomes an ``IoError``."""
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except (OSError, ValueError) as exc:
+        raise IoError(f"cannot read {path}: {exc}") from exc
+
+
 def atomic_write(path: str, payload: bytes) -> None:
     """Write ``payload`` to ``path`` all at once or not at all.
 
     The bytes go to ``<path>.tmp.<pid>`` and are renamed over ``path``, so a
     reader sees either the old file or the complete new one. On failure the
-    temp file is removed and the ``OSError`` becomes an ``IoError``. Every file
-    the package writes goes through here.
+    temp file is removed and the ``OSError`` (or a NUL byte's ``ValueError``)
+    becomes an ``IoError``. Every file the package writes goes through here.
     """
     tmp = f"{path}.tmp.{os.getpid()}"
     try:
         with open(tmp, "wb") as fh:
             fh.write(payload)
         os.replace(tmp, path)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         try:
             os.unlink(tmp)
-        except OSError:
+        except (OSError, ValueError):
             pass
         raise IoError(f"cannot write {path}: {exc}") from exc
 
@@ -55,21 +66,19 @@ def make_dirs(path: str) -> None:
     """``os.makedirs(path, exist_ok=True)`` with failures raised as ``IoError``."""
     try:
         os.makedirs(path, exist_ok=True)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise IoError(f"cannot create {path}: {exc}") from exc
 
 
 def read_json(path: str) -> dict:
     """Parse a JSON document whose root is an object: a config or a manifest.
 
-    An unreadable file is an ``IoError``; bad JSON, non-UTF-8 bytes or
-    another root type are a ``ConfigError``.
+    The bytes are decoded as UTF-8 whatever the locale. An unreadable file is
+    an ``IoError``; bad JSON, non-UTF-8 bytes or another root type are a
+    ``ConfigError``.
     """
     try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
+        doc = json.loads(read_bytes(path).decode("utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
@@ -128,11 +137,7 @@ def write_ppm(path: str, image: np.ndarray) -> None:
 def _read_raster(path: str, magic: bytes, depth: int) -> np.ndarray:
     """The (h, w, depth) uint8 payload of a binary netpbm file; an ``IoError``
     if it cannot be read, a ``FormatError`` for a bad header or length."""
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
+    data = read_bytes(path)
     w, h, pos = _read_header(data, magic, path)
     need = w * h * depth
     payload = data[pos : pos + need]

@@ -24,7 +24,7 @@ from .backbone import extract_features
 from .errors import ConfigError, DataError, ProtosegError
 from .metrics import ConfusionMatrix, MetricsReport, iou_per_class, mean_report, summarize_confusion
 from .model import EvalModel, from_train_state
-from .netpbm import make_dirs, write_csv
+from .netpbm import make_dirs, read_bytes, write_csv
 from .prototypes import (
     ROLE_BASE,
     ROLE_NOVEL,
@@ -216,14 +216,16 @@ def run_fs_protocol(
 # ---------------------------------------------------------------------------
 
 
-def config_digest(config: TrainConfig, manifest: DatasetManifest) -> str:
-    """The ablate cache key: checkpoint format version, train config, dataset."""
-    doc = json.dumps(
-        {"config": asdict(config), "split": manifest.split_index, "seed": manifest.seed,
-         "format": ckpt.VERSION},
-        sort_keys=True,
-    )
-    return hashlib.sha256(doc.encode()).hexdigest()[:16]
+def cache_key(config: TrainConfig, manifest: DatasetManifest) -> str:
+    """The ablate cache key: checkpoint format version, train config, base class
+    ids and the bytes of every train pair, so splits whose train scenes differ
+    never share a checkpoint."""
+    doc = {"config": asdict(config), "base": manifest.ids_with_role(ROLE_BASE), "format": ckpt.VERSION}
+    key = hashlib.sha256(json.dumps(doc, sort_keys=True).encode())
+    for entry in manifest.train:
+        for name in (entry.image, entry.mask):
+            key.update(hashlib.sha256(read_bytes(os.path.join(manifest.base_dir, name))).digest())
+    return key.hexdigest()[:16]
 
 
 def trained_model_for_scheme(
@@ -235,8 +237,8 @@ def trained_model_for_scheme(
     """Reload one underlying training scheme from the cache, or train it and
     cache its checkpoint."""
     make_dirs(cache_dir)
-    digest = config_digest(config, manifest)
-    path = os.path.join(cache_dir, f"{scheme}_split{manifest.split_index}_{digest}.ckpt")
+    key = cache_key(config, manifest)
+    path = os.path.join(cache_dir, f"{scheme}_split{manifest.split_index}_{key}.ckpt")
     if os.path.exists(path):
         return ckpt.load_checkpoint(path)
     model = from_train_state(train(config, load_train_data(manifest), make_variant(scheme)))

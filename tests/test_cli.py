@@ -121,6 +121,23 @@ def test_non_utf8_config_exits_2(tmp_path):
     assert main(["synth", "--config", str(bad), "--out", str(tmp_path / "x")]) == 2
 
 
+def test_utf8_config_is_read_as_utf8_under_the_c_locale(tmp_path):
+    # the child decodes with ASCII as its locale encoding; the config is UTF-8
+    cfg = tmp_path / "cafe.json"
+    scene = {**SCENE_CFG["scene"], "train_scenes": 2, "support_per_class": 1, "test_scenes": 1}
+    cfg.write_bytes(json.dumps({"_comment": "café — 24²", "scene": scene},
+                               ensure_ascii=False).encode("utf-8"))
+    src = os.path.dirname(os.path.dirname(inspect.getfile(main)))
+    run = subprocess.run(
+        [sys.executable, "-m", "protoseg.cli", "synth", "--config", str(cfg),
+         "--out", str(tmp_path / "data")],
+        env={**os.environ, "PYTHONPATH": src, "PYTHONUTF8": "0", "LC_ALL": "C"},
+        capture_output=True, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    assert (tmp_path / "data" / "split3" / "manifest.json").exists()
+
+
 def test_unknown_config_key_exits_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"scene": {"heigth": 24}}))
@@ -228,6 +245,17 @@ def test_train_smoke_single_step_is_loadable(workspace, tmp_path):
     model = load_checkpoint(out)
     assert model.variant_kind == "baseline"
     assert os.path.exists(out + ".curve.csv")
+
+
+def test_train_with_an_unwritable_curve_exits_3_and_writes_no_checkpoint(workspace, tmp_path):
+    # the curve is written before the snapshot, so its failure leaves no --out
+    out = tmp_path / "m.ckpt"
+    cfg = tmp_path / "t.json"
+    cfg.write_text(json.dumps({"train": {**TRAIN_CFG["train"], "steps": 1}}))
+    (tmp_path / "curve").mkdir()
+    assert main(["train", "--config", str(cfg), "--data", workspace["manifest"],
+                 "--out", str(out), "--curve", str(tmp_path / "curve")]) == 3
+    assert not out.exists()
 
 
 def test_gamma_tensor_presence_differs_by_variant(workspace, tmp_path):
@@ -366,6 +394,20 @@ def test_register_adds_novel_rows(workspace, tmp_path):
     assert sha(out) == sha(again)
 
 
+def test_a_registered_checkpoint_carries_no_training_snapshot(workspace, tmp_path, capsys):
+    out = str(tmp_path / "reg.ckpt")
+    assert main(["register", "--model", workspace["ckpt"], "--data", workspace["manifest"],
+                 "--shots", "1", "--out", out]) == 0
+    assert b'"train_state"' in open(workspace["ckpt"], "rb").read()
+    assert b'"train_state"' not in open(out, "rb").read()
+    assert "train_state" not in load_checkpoint(workspace["ckpt"]).meta
+    capsys.readouterr()
+    assert main(["train", "--data", workspace["manifest"], "--resume", out,
+                 "--out", str(tmp_path / "more.ckpt")]) == 3
+    assert "no training state" in capsys.readouterr().err
+    assert not (tmp_path / "more.ckpt").exists()
+
+
 def test_register_exit_5_when_pool_exhausted(workspace, tmp_path):
     code = main(
         ["register", "--model", workspace["ckpt"], "--data", workspace["manifest"],
@@ -395,6 +437,46 @@ def test_predict_writes_mask_and_logits(workspace, tmp_path):
     assert np.isfinite(logits).all()
     ids = np.array(sorted(load_checkpoint(workspace["ckpt"]).classifier.class_ids))
     assert np.array_equal(ids[np.argmax(logits, axis=-1)], pred)
+
+
+def test_predict_with_unwritable_logits_exits_3_and_writes_no_mask(workspace, tmp_path):
+    # the logits are written before the mask, so their failure leaves no --out
+    image = os.path.join(os.path.dirname(workspace["manifest"]), "test_0000.ppm")
+    (tmp_path / "logits").mkdir()
+    assert main(["predict", "--model", workspace["ckpt"], "--image", image,
+                 "--out", str(tmp_path / "pred.pgm"), "--logits", str(tmp_path / "logits")]) == 3
+    assert not (tmp_path / "pred.pgm").exists()
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [("synth", "--out"), ("train", "--out"), ("train", "--curve"), ("eval", "--model"),
+     ("eval", "--data"), ("predict", "--model"), ("predict", "--image"), ("predict", "--out"),
+     ("register", "--model")],
+)
+def test_a_path_holding_a_nul_byte_exits_3_and_writes_nothing(
+    workspace, tmp_path, capsys, command, flag
+):
+    # open() raises ValueError, not OSError, for such a path; only an
+    # in-process caller can pass one, since a real argv cannot hold a NUL
+    out, manifest, ckpt = str(tmp_path / "out"), workspace["manifest"], workspace["ckpt"]
+    image = os.path.join(os.path.dirname(manifest), "test_0000.ppm")
+    argv = {
+        "synth": ["--config", workspace["scene_cfg"], "--out", out],
+        "train": ["--config", workspace["train_cfg"], "--data", manifest, "--out", out,
+                  "--curve", str(tmp_path / "curve.csv")],
+        "eval": ["--model", ckpt, "--data", manifest, "--shots", "1", "--seeds", "1",
+                 "--report", out],
+        "predict": ["--model", ckpt, "--image", image, "--out", out],
+        "register": ["--model", ckpt, "--data", manifest, "--shots", "1", "--out", out],
+    }[command]
+    argv[argv.index(flag) + 1] = str(tmp_path / "a\0b")
+    if flag == "--out" and command == "train":
+        argv = argv[:-2]  # the default curve path holds the NUL too
+    assert main([command] + argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "null byte" in err and "Traceback" not in err
+    assert os.listdir(tmp_path) == []
 
 
 def test_predict_missing_model_exits_3(workspace, tmp_path):

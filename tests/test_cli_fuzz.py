@@ -39,7 +39,8 @@ TRAIN = {"batch_size": 4, "steps": 2, "lr": 0.05, "seed": 0, "embed_dim": 4, "ba
 DOCUMENTED_EXITS = {0, 2, 3, 4, 5}
 
 # "@name" values are workspace paths of each case's copy; "@new" is a fresh
-# path there, and "@absent" and "@under_file" are paths that cannot be read
+# path there, and "@absent", "@under_file" and "@nul" are paths that cannot be
+# read ("@nul" holds a NUL byte, which open() rejects with a ValueError)
 PLACES = {
     "@config": "config.json",
     "@manifest": "data/split0/manifest.json",
@@ -50,6 +51,7 @@ PLACES = {
     "@dir": "data",
     "@absent": "absent",
     "@under_file": "config.json/sub",
+    "@nul": "a\0b",
 }
 PATHS = sorted(PLACES)
 
@@ -156,7 +158,8 @@ def _mutate_argv(rng, pairs):
         i = rng.randrange(len(pairs))
         flag, value = pairs[i]
         kind = rng.choice(("drop", "duplicate", "swap", "value"))
-        if kind == "drop" and flag != "--config":  # without it, the full-size defaults run
+        # without --config, or --resume's snapshot config, the full-size defaults run
+        if kind == "drop" and flag not in ("--config", "--resume"):
             del pairs[i]
         elif kind == "duplicate":
             pairs.append((flag, _draw(rng, flag)))

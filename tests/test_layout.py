@@ -102,8 +102,29 @@ def test_one_present_ids_rule():
     assert _source().count("np.unique(") == 1
 
 
-def test_one_json_file_reader():
-    assert _source().count("json.load(") == 1
+def _open_calls(tree: ast.AST) -> list[ast.Call]:
+    # open(), io.open(), os.open() or a path's .open()
+    return [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "open"
+    ]
+
+
+def test_one_file_reader_beside_the_one_writer():
+    # every read goes through read_bytes and every write through atomic_write,
+    # so those two functions hold the package's only open() calls
+    calls, openers = 0, []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        calls += len(_open_calls(tree))
+        openers += [
+            f"{path.name}:{fn.name}"
+            for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef)
+            for _ in _open_calls(fn)
+        ]
+    assert calls == 2
+    assert openers == ["netpbm.py:read_bytes", "netpbm.py:atomic_write"]
 
 
 def test_every_imported_name_is_used():

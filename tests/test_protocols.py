@@ -12,13 +12,14 @@ from protoseg import tensor as T
 from protoseg.errors import ConfigError, DataError, EmptyMaskError, IoError
 from protoseg.model import from_train_state
 from protoseg.protocols import (
-    config_digest,
+    cache_key,
     model_for_variant,
     register_for_variant,
     report_to_json,
     run_ablation,
     run_fs_protocol,
     run_gfs_protocol,
+    trained_model_for_scheme,
     write_ablation_csv,
 )
 from protoseg.scenes import SceneConfig, build_dataset, load_manifest, sample_support_set
@@ -342,9 +343,26 @@ def test_ablation_cache_key_changes_with_the_checkpoint_format(world, monkeypatc
     # a cache filled by another format version is not found, so each scheme
     # retrains once rather than failing to read the old files
     manifest, _ = world
-    current = config_digest(TRAIN, manifest)
+    current = cache_key(TRAIN, manifest)
     monkeypatch.setattr(checkpoint, "VERSION", 1)
-    assert config_digest(TRAIN, manifest) != current
+    assert cache_key(TRAIN, manifest) != current
+
+
+def test_splits_that_differ_only_in_their_scenes_train_separately(tmp_path):
+    # same split index and scene seed, other tint and noise: the train scenes
+    # differ, so a shared cache must not hand one split the other's model
+    config = replace(TRAIN, steps=2)
+    cache = str(tmp_path / "cache")
+    weights = []
+    for i, scene in enumerate((WORLD, replace(WORLD, context_tint=0.0, noise=0.1))):
+        build_dataset(scene, 0, str(tmp_path / f"data{i}"))
+        manifest = load_manifest(str(tmp_path / f"data{i}" / "manifest.json"))
+        model = trained_model_for_scheme("baseline", manifest, config, cache)
+        fresh = from_train_state(train(config, load_train_data(manifest), make_variant("baseline")))
+        assert np.array_equal(model.classifier.weights, fresh.classifier.weights)
+        weights.append(model.classifier.weights)
+    assert len(os.listdir(cache)) == 2
+    assert not np.array_equal(*weights)
 
 
 def test_variant_wiring_for_fixed_gamma(world, tmp_path):
